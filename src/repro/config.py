@@ -27,8 +27,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import weakref
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 __all__ = [
     "RunConfig",
@@ -132,6 +133,59 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(
         canonical_data(obj), sort_keys=True, separators=(",", ":")
     )
+
+
+#: (id(obj), render) -> (weak reference to obj, render(obj) or None when
+#: obj is not transitively immutable); see :func:`_memo_json`.
+_JSON_MEMO: dict[
+    tuple[int, Callable[[Any], str]], tuple[weakref.ref, Optional[str]]
+] = {}
+
+_ATOMS = (type(None), bool, int, float, str, bytes)
+
+
+def _immutable(obj: Any) -> bool:
+    """Whether nothing reachable through ``obj``'s canonical content can
+    change: atoms, tuples / frozensets of immutables, and instances of
+    frozen dataclasses (the class itself declared ``frozen=True``) whose
+    fields are all immutable. Functions, lists, dicts, sets and plain
+    objects are not."""
+    kind = type(obj)
+    if kind in _ATOMS:
+        return True
+    if kind is tuple or kind is frozenset:
+        return all(_immutable(item) for item in obj)
+    params = kind.__dict__.get("__dataclass_params__")
+    if params is not None and params.frozen:
+        return all(
+            _immutable(getattr(obj, f.name)) for f in dataclasses.fields(obj)
+        )
+    return False
+
+
+def _memo_json(obj: Any, render: Callable[[Any], str] = canonical_json) -> str:
+    """``render(obj)``, remembered by ``obj``'s identity while it lives.
+
+    The text is memoised only when ``obj`` is transitively immutable
+    (:func:`_immutable`), so it cannot go stale; anything else is
+    rendered afresh on every call. That verdict is itself remembered: the
+    path from a frozen ``obj`` to its first mutable part cannot be rebound.
+    An entry leaves the memo when its object dies, so long-running
+    services do not accumulate dead specs, and the weak reference guards
+    against a new object reusing a dead one's ``id``. Objects that do not
+    take weak references are never memoised.
+    """
+    key = (id(obj), render)
+    entry = _JSON_MEMO.get(key)
+    if entry is not None and entry[0]() is obj:
+        return entry[1] if entry[1] is not None else render(obj)
+    text = render(obj)
+    try:
+        ref = weakref.ref(obj, lambda _, key=key: _JSON_MEMO.pop(key, None))
+    except TypeError:
+        return text
+    _JSON_MEMO[key] = (ref, text if _immutable(obj) else None)
+    return text
 
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only

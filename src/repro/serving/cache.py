@@ -22,6 +22,14 @@ perfectly cacheable — *if* the key really captures all the content:
 Keys are hex SHA-256 strings, independent of the process (no reliance on
 ``hash()``, pickle memo order, or set iteration order).
 
+Key derivation is memoised: the canonical text of a scenario and of a
+config is remembered per live object when that object is transitively
+immutable (frozen dataclasses, tuples, atoms — see
+:func:`repro.config._memo_json`), so a repeated request costs one
+SHA-256 over remembered text. Anything holding a function, a mutable
+container or a plain object is re-encoded on every call. The memo is an
+accelerator only: the key bytes are those of the recipe above.
+
 Storage is two-layer: an in-memory LRU dict for the hot working set, and
 an optional on-disk layer (one JSON file per entry, atomic rename
 writes, LRU eviction by mtime) so a sweep's results survive process
@@ -40,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-from ..config import RunConfig, canonical_json
+from ..config import RunConfig, _memo_json, canonical_json
 
 __all__ = ["CACHE_SCHEMA", "ResultCache", "cache_key", "code_fingerprint"]
 
@@ -72,6 +80,13 @@ def code_fingerprint() -> str:
 
 _CODE_FINGERPRINT: Optional[str] = None
 
+#: what ``config=None`` means; one instance, so its key text is memoised.
+_DEFAULT_CONFIG = RunConfig()
+
+
+def _config_json(config: RunConfig) -> str:
+    return canonical_json(config.cache_key_data())
+
 
 def cache_key(
     scenario: Any,
@@ -88,15 +103,15 @@ def cache_key(
     canonically serializable run definition. ``code`` overrides the
     source fingerprint (tests use this to simulate a code change).
     """
-    config = config if config is not None else RunConfig()
+    config = config if config is not None else _DEFAULT_CONFIG
     payload = "\n".join(
         (
             f"schema={CACHE_SCHEMA}",
             f"code={code if code is not None else code_fingerprint()}",
-            f"scenario={canonical_json(scenario)}",
+            f"scenario={_memo_json(scenario)}",
             f"variant={variant}",
             f"seed={int(seed)}",
-            f"config={canonical_json(config.cache_key_data())}",
+            f"config={_memo_json(config, _config_json)}",
         )
     )
     return hashlib.sha256(payload.encode()).hexdigest()

@@ -286,10 +286,14 @@ class SimulationService:
             if self.cache is not None
             else None
         )
+        try:
+            scenario_id = spec.id
+        except AttributeError:
+            scenario_id = str(spec)
         return _Context(
             payload=payload,
             key=key,
-            scenario_id=getattr(spec, "id", str(spec)),
+            scenario_id=scenario_id,
             variant=job.variant if kind == "scenario" else "-",
             seed=job.seed,
             submitted=time.monotonic(),

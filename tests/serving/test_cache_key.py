@@ -12,20 +12,30 @@ the content. Two properties are pinned here:
   memo order, or set iteration order, so fresh interpreters (with
   different ``PYTHONHASHSEED``) derive the identical hex string. This is
   what lets the disk layer survive restarts.
+
+Key derivation memoises the canonical text of immutable scenarios and
+configs (``repro.config._memo_json``), so the memo is pinned too: warm
+keys equal the plain recipe, no field hides behind a remembered text,
+mutable content is re-read on every call, and dead specs leave the memo.
 """
 
 import dataclasses
+import gc
+import hashlib
 import os
 import subprocess
 import sys
 
 import pytest
 
+from repro import config as config_module
 from repro.config import RunConfig, canonical_json
-from repro.experiments import SCENARIOS
-from repro.experiments.scenarios import ScenarioSpec
+from repro.experiments import SCENARIOS, LargeGridSpec
+from repro.experiments.runner import VARIANTS
+from repro.experiments.scenarios import BarnesHutFactory, ScenarioSpec
 from repro.serving import cache_key
-from repro.serving.cache import code_fingerprint
+from repro.serving.cache import CACHE_SCHEMA, code_fingerprint
+from repro.simgrid.events import CrashEvent
 
 SPEC = SCENARIOS["s1"]
 BASE = RunConfig()
@@ -118,16 +128,141 @@ def test_canonical_json_orders_dicts_and_sets():
     assert canonical_json({"x", "y", "z"}) == canonical_json({"z", "x", "y"})
 
 
+def _recipe_key(scenario, variant, seed, config) -> str:
+    """The key recipe spelled out with no memo: what ``cache_key`` must
+    return however warm its memo is."""
+    config = config if config is not None else RunConfig()
+    payload = "\n".join(
+        (
+            f"schema={CACHE_SCHEMA}",
+            f"code={code_fingerprint()}",
+            f"scenario={canonical_json(scenario)}",
+            f"variant={variant}",
+            f"seed={int(seed)}",
+            f"config={canonical_json(config.cache_key_data())}",
+        )
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _configs() -> list:
+    return [None, BASE] + [
+        dataclasses.replace(BASE, **{name: value})
+        for name, value in _mutations().items()
+    ]
+
+
+@pytest.mark.parametrize("scenario_id", sorted(SCENARIOS) + ["large_grid"])
+def test_memoised_key_equals_the_recipe(scenario_id):
+    """Warm keys (second call, memo hit) equal both the key of a fresh
+    ``dataclasses.replace`` copy (new identity, cold memo) and the plain
+    recipe, for every variant and every config the suite enumerates."""
+    spec = LargeGridSpec() if scenario_id == "large_grid" else SCENARIOS[scenario_id]
+    for config in _configs():
+        fresh_config = None if config is None else dataclasses.replace(config)
+        for variant in VARIANTS:
+            cache_key(spec, variant, 7, config)
+            warm = cache_key(spec, variant, 7, config)
+            cold = cache_key(dataclasses.replace(spec), variant, 7, fresh_config)
+            assert warm == cold == _recipe_key(spec, variant, 7, config)
+
+
+def _spec_mutations() -> dict:
+    """One different value per ScenarioSpec field; the nested ones reach
+    into a cluster's uplink, the policy and the app factory's config."""
+    grid = SPEC.grid
+    first = dataclasses.replace(grid.clusters[0], uplink_bandwidth=25e3)
+    app = SPEC.app_factory.config
+    return {
+        "id": "s1-edited",
+        "paper_ref": "elsewhere",
+        "description": "edited",
+        "grid": dataclasses.replace(grid, clusters=(first,) + grid.clusters[1:]),
+        "initial_layout": (("vu", 5), ("uva", 6), ("leiden", 6)),
+        "events": (CrashEvent(time=60.0, clusters=("uva",)),),
+        "app_factory": BarnesHutFactory(
+            dataclasses.replace(app, n_iterations=app.n_iterations + 1)
+        ),
+        "monitoring_period": SPEC.monitoring_period + 1,
+        "policy": dataclasses.replace(SPEC.policy, e_min=SPEC.policy.e_min + 0.01),
+        "crash_detection_delay": SPEC.crash_detection_delay + 1,
+        "max_sim_time": SPEC.max_sim_time + 1,
+    }
+
+
+def test_every_scenario_field_has_a_mutation():
+    """Coverage guard, as for RunConfig: a new ScenarioSpec field must be
+    proven to move the key before it ships."""
+    field_names = {f.name for f in dataclasses.fields(ScenarioSpec)}
+    assert field_names == set(_spec_mutations())
+
+
+@pytest.mark.parametrize(
+    "field_name", sorted(f.name for f in dataclasses.fields(ScenarioSpec))
+)
+def test_mutating_any_scenario_field_changes_the_key(field_name):
+    base_key = cache_key(SPEC, "adapt", 0, BASE)
+    mutated = dataclasses.replace(SPEC, **{field_name: _spec_mutations()[field_name]})
+    assert cache_key(mutated, "adapt", 0, BASE) != base_key
+
+
+@dataclasses.dataclass
+class _MutableFactory:
+    n_iterations: int = 1
+
+
+def test_mutable_content_is_never_frozen_into_the_memo():
+    """A closure over a list, a non-frozen dataclass and a plain
+    observability object are re-read on every call, so mutating them
+    between calls moves the key."""
+    from repro.obs import Observability
+
+    sizes = [1]
+    spec = dataclasses.replace(SPEC, app_factory=lambda: sizes[0])
+    before = cache_key(spec, "adapt", 0, BASE)
+    sizes[0] = 2
+    assert cache_key(spec, "adapt", 0, BASE) != before
+
+    factory = _MutableFactory()
+    spec = dataclasses.replace(SPEC, app_factory=factory)
+    before = cache_key(spec, "adapt", 0, BASE)
+    factory.n_iterations = 2
+    assert cache_key(spec, "adapt", 0, BASE) != before
+
+    obs = Observability.enabled()
+    config = RunConfig(obs=obs)
+    before = cache_key(SPEC, "adapt", 0, config)
+    obs.bus.max_events = 10
+    assert cache_key(SPEC, "adapt", 0, config) != before
+
+
+def test_memo_does_not_pin_dead_specs():
+    """A long-running ``repro serve`` must not grow without bound: an
+    entry leaves the memo when its scenario or config dies."""
+    gc.collect()
+    before = len(config_module._JSON_MEMO)
+    spec = dataclasses.replace(SPEC, monitoring_period=77.0)
+    config = RunConfig(jobs=5)
+    cache_key(spec, "adapt", 0, config)
+    assert len(config_module._JSON_MEMO) == before + 2
+    del spec, config
+    gc.collect()
+    assert len(config_module._JSON_MEMO) == before
+
+
 _CHILD = """
-import sys
 from repro.config import RunConfig
-from repro.experiments import SCENARIOS
+from repro.experiments import SCENARIOS, LargeGridSpec
+from repro.satin.worker import WorkerConfig
 from repro.serving import cache_key
+tuned = RunConfig(scheduler="heap", worker=WorkerConfig(monitoring_period=33.0))
 print(cache_key(SCENARIOS["s1"], "adapt", 0, RunConfig()))
+print(cache_key(LargeGridSpec(), "adapt", 0, RunConfig()))
+print(cache_key(SCENARIOS["s1"], "adapt", 0, tuned))
 """
 
 
-def _child_key(hash_seed: str) -> str:
+def _child_keys(hash_seed: str) -> list[str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     env["PYTHONHASHSEED"] = hash_seed
@@ -138,7 +273,7 @@ def _child_key(hash_seed: str) -> str:
         text=True,
         check=True,
     )
-    return out.stdout.strip()
+    return out.stdout.split()
 
 
 def test_key_is_stable_across_processes():
@@ -146,12 +281,24 @@ def test_key_is_stable_across_processes():
 
     ``PYTHONHASHSEED`` randomizes ``str.__hash__`` and therefore set /
     dict iteration order — the classic way a pickle- or repr-based key
-    silently differs per process. One in-process key and two children
-    with adversarial seeds must all match.
+    silently differs per process. In-process keys (memo warm) and two
+    children with adversarial seeds (memo cold) must all match, for a
+    scenario, the large-grid substrate and a non-default frozen config.
     """
-    here = cache_key(SCENARIOS["s1"], "adapt", 0, RunConfig())
-    assert _child_key("1") == here
-    assert _child_key("271828") == here
+    from repro.satin.worker import WorkerConfig
+
+    tuned = RunConfig(scheduler="heap", worker=WorkerConfig(monitoring_period=33.0))
+    runs = [
+        (SCENARIOS["s1"], RunConfig()),
+        (LargeGridSpec(), RunConfig()),
+        (SCENARIOS["s1"], tuned),
+    ]
+    for spec, config in runs:
+        cache_key(spec, "adapt", 0, config)
+    here = [cache_key(spec, "adapt", 0, config) for spec, config in runs]
+    assert len(set(here)) == 3
+    assert _child_keys("1") == here
+    assert _child_keys("271828") == here
 
 
 def test_code_fingerprint_is_memoized_and_hexdigest():

@@ -13,6 +13,7 @@ import json
 import pytest
 
 from repro.config import RunConfig
+from repro.experiments.scenarios import ScenarioSpec
 from repro.obs import Observability
 from repro.serving import ResultCache, SimulationService, SweepJob, cache_key
 from tests.experiments.test_parallel import SyntheticFactory, tiny_spec
@@ -45,6 +46,21 @@ def test_cache_hit_returns_identical_bytes():
     assert not cold.cache_hit and warm.cache_hit
     assert _bytes(cold.summary) == _bytes(warm.summary)
     assert cache.stats.hits == 1 and cache.stats.misses == 1
+
+
+def test_memory_hit_never_reprs_the_spec(monkeypatch):
+    """Naming a request must not render the spec: ``str`` of a nested
+    frozen dataclass is a full recursive ``repr``, most of a hit's cost."""
+
+    def no_repr(self):
+        raise AssertionError("the hit path rendered the spec's repr")
+
+    cache = ResultCache()
+    cache.put(cache_key(SPEC, "none", 0), {"stored": True})
+    monkeypatch.setattr(ScenarioSpec, "__repr__", no_repr)
+    [res] = _service(cache=cache).sweep([SweepJob(SPEC, "none", 0)])
+    assert res.cache_hit and res.summary == {"stored": True}
+    assert res.scenario == "svc"
 
 
 def test_different_config_is_a_different_entry():
