@@ -33,7 +33,7 @@ interactions; a speed-1.0 grid node executes one work unit per simulated
 second. Only ratios matter (the paper's speeds are likewise relative).
 
 Performance note: the production path (the simulation loop, the spawn
-tree, the microbenchmarks) runs on the flat struct-of-arrays octree and
+tree, the benchmark probes) runs on the flat struct-of-arrays octree and
 frontier-batched traversal kernel in :mod:`.flatoctree` — see the "Flat
 octree layout" section of ``docs/performance.md`` for the memory layout
 and why level batching beats per-node dispatch. The ``OctreeNode``

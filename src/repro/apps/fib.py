@@ -1,4 +1,4 @@
-"""Fibonacci — the canonical divide-and-conquer microbenchmark.
+"""Fibonacci — the canonical divide-and-conquer benchmark kernel.
 
 ``fib(n)`` spawns ``fib(n-1)`` and ``fib(n-2)``; below a sequential
 threshold the subtree runs as one leaf task. This is the classic Satin

@@ -435,10 +435,10 @@ def flat_traverse(
     acceleration accumulation order differs (level order instead of DFS),
     which is within ~1e-12 relative of the reference.
 
-    The counts-only entry (the production scenario path and the gated
-    ``traversal`` microbench) runs :func:`_traverse_counts`, which never
-    materialises leaf pairs at all; with forces on, the full kernel
-    :func:`_traverse_with_acc` runs instead.
+    The counts-only entry (the production scenario path) runs
+    :func:`_traverse_counts`, which never materialises leaf pairs at
+    all; with forces on, the full kernel :func:`_traverse_with_acc`
+    runs instead.
     """
     if not accumulate_acc:
         return _traverse_counts(flat, positions, theta), None

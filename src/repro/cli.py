@@ -11,7 +11,6 @@ Usage (after installing the package)::
     python -m repro trace s4 --variant adapt --out s4.jsonl
     python -m repro metrics s1
     python -m repro profile s4 --explain-decisions
-    python -m repro bench --quick --baseline BENCH_3.json --gate 2.0
     python -m repro sweep s1,s4 --variants none,adapt --seeds 0-4 --cache
     python -m repro serve --workers 2 --cache-dir .repro-cache
 
@@ -30,6 +29,9 @@ layer: a warm worker pool plus the content-addressed result cache, so
 re-running a sweep returns cached summaries (byte-identical to fresh
 runs) without simulating; ``serve`` keeps that service alive as a
 long-running process speaking JSONL on stdin/stdout.
+
+Performance is measured outside the package, by the repo benchmark
+(``python3 bench/run.py``; see ``bench/README.md``).
 """
 
 from __future__ import annotations
@@ -115,8 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument(
         "--scheduler", choices=SCHEDULERS, default="array",
         help="event-queue implementation: the typed-array calendar "
-             "(default), the object-tuple calendar, or the binary-heap "
-             "spec; all three dispatch bit-identically",
+             "(default) or the binary-heap spec; both dispatch "
+             "bit-identically",
     )
 
     p_cmp = sub.add_parser(
@@ -295,13 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream one serving_job trace event per settled request "
              "to FILE as JSONL",
     )
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="time the simulator's hot paths (micro-benchmarks)",
-        add_help=False,  # microbench owns its own argument parsing
-    )
-    p_bench.add_argument("rest", nargs=argparse.REMAINDER)
     return parser
 
 
@@ -799,15 +794,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    arglist = list(sys.argv[1:] if argv is None else argv)
-    if arglist[:1] == ["bench"]:
-        # Delegated before parsing: microbench owns its own options, and
-        # argparse's REMAINDER does not reliably pass through leading
-        # option-like tokens after a subcommand.
-        from .experiments.microbench import main as bench_main
-
-        return bench_main(arglist[1:])
-    args = build_parser().parse_args(arglist)
+    args = build_parser().parse_args(argv)
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":
@@ -828,10 +815,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_sweep(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "bench":
-        from .experiments.microbench import main as bench_main
-
-        return bench_main(args.rest)
     raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
 
 

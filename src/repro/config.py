@@ -31,6 +31,8 @@ import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from .simgrid.engine import Environment
+
 __all__ = [
     "RunConfig",
     "COORDINATOR_MODES",
@@ -39,11 +41,10 @@ __all__ = [
     "canonical_json",
 ]
 
-#: engine event-queue implementations (all produce byte-identical runs):
-#: "array" (default; the calendar queue over typed-array storage),
-#: "calendar" (the object-tuple calendar, second reference) and "heap"
-#: (the binary-heap executable spec).
-SCHEDULERS = ("array", "calendar", "heap")
+#: engine event-queue implementations (both produce byte-identical runs):
+#: "array" (default; the calendar queue over typed-array storage) and
+#: "heap" (the binary-heap executable spec). The engine's own tuple.
+SCHEDULERS = Environment.SCHEDULERS
 #: coordinator decision paths: the incremental streaming pipeline
 #: (production default) and the batch snapshot re-fold retained as the
 #: executable spec; both produce identical decisions and goldens.
@@ -211,8 +212,8 @@ class RunConfig:
     ships it to spawned worker processes.
     """
 
-    #: engine event queue: "array" (default, typed-array calendar core),
-    #: "calendar" (object-tuple calendar) or the "heap" reference.
+    #: engine event queue: "array" (default, typed-array calendar core)
+    #: or the "heap" reference (one of :data:`SCHEDULERS`).
     scheduler: str = "array"
     #: coordinator decision path: "streaming" (incremental WAE + top-k
     #: badness, O(changed) per period) or "batch" (full snapshot re-fold,

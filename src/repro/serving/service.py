@@ -112,7 +112,7 @@ class SimulationService:
 
     ``n_workers >= 1`` runs jobs on a persistent spawn pool;
     ``n_workers=0`` executes inline in this process (no spawn cost —
-    what the cache-latency microbenchmarks and small scripts use).
+    what the benchmark's re-query epilogue and small scripts use).
     ``cache=None`` disables caching entirely.
 
     Usable as a context manager; :meth:`close` shuts the pool down.

@@ -23,31 +23,31 @@ yield-timeout-resume cycle is aggressively optimized while keeping the
 ``(time, priority, seq)`` total order bit-for-bit identical to the
 straightforward implementation:
 
-* **calendar-queue scheduler**: the pending-event set lives in an
-  array of time buckets of self-tuned width, indexed by the virtual bucket
-  number ``v = int(time / width)``. Inserts append to a bucket in O(1);
-  the run loop walks a cursor over the bucket array and drains each
+* **calendar-queue scheduler** (default, ``scheduler="array"``): the
+  pending-event set lives in an array of time buckets of self-tuned
+  width, indexed by the virtual bucket number ``v = int(time / width)``.
+  The run loop walks a cursor over the bucket array and drains each
   bucket's due entries in ``(time, priority, seq)`` order, so the pop
   order is exactly the heap's. Bucket count and width recalibrate from
   the live entry-time spread when the load factor or a degenerate bucket
-  says the current geometry is wrong. See the "Event scheduler" section
-  of ``docs/performance.md`` for the sizing rules and the determinism
-  argument.
-* **typed-array event core** (default, ``scheduler="array"``): the same
-  calendar algorithm with struct-of-arrays storage
+  says the current geometry is wrong. Storage is struct-of-arrays
   (:class:`repro.simgrid.eventcore.ArrayCalendar`): entries are slots in
   flat ``float64``/``int64`` arrays chained into buckets by intrusive
   index links, payload chains live in a parallel slot table, and the two
   pure-Python maintenance costs — dirty-bucket re-sorts and geometry
-  rebuilds — become numpy ``lexsort`` kernels. Dispatch order is
-  bit-exact with both other schedulers; only the storage differs.
+  rebuilds — are numpy ``lexsort`` kernels. See the "Event scheduler"
+  section of ``docs/performance.md`` for the sizing rules and the
+  determinism argument.
+* **coalesced deadlines**: events sharing an exact ``(time, priority)``
+  join one queued entry's chain for the cost of a list append; a chain
+  fires in append order, which is seq order.
 * **lazy cancellation**: :meth:`Timeout.cancel` tombstones the event
   instead of searching the queue; the loops skip (and, for pooled
   timeouts, recycle) tombstoned entries when they surface at pop time.
 * **heap reference**: the original binary-heap loop is retained behind
   ``Environment(scheduler="heap")`` as
-  :meth:`Environment._run_heap_reference`; tests assert all schedulers
-  produce identical runs.
+  :meth:`Environment._run_heap_reference`, the executable spec; tests
+  assert both schedulers produce identical runs.
 * **single-callback slot**: almost every event has exactly one waiter (the
   process that yielded it), so the first callback lives in a dedicated
   ``_cb1`` slot and the overflow list ``_cbs`` is only allocated for the
@@ -82,7 +82,13 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .eventcore import ArrayCalendar
+from .eventcore import (
+    _FAR_FUTURE,
+    _FAR_FUTURE_F,
+    _NAN,
+    _SORTED_INSERT_MAX,
+    ArrayCalendar,
+)
 
 __all__ = [
     "Environment",
@@ -109,25 +115,6 @@ _heappop = heapq.heappop
 #: Sentinel for "no value yet" (module-level: the run loops test it on
 #: every resume, and a global load is cheaper than two attribute loads).
 _PENDING = object()
-
-#: Virtual bucket number for times too large for ``int(t / width)``
-#: (``inf`` schedules); compares after every finite bucket.
-_FAR_FUTURE = 1 << 62
-#: Float twin for the array core's branchless overflow guard (same
-#: constant as ``eventcore._FAR_FUTURE_F``; keep them in lockstep).
-_FAR_FUTURE_F = float(_FAR_FUTURE)
-#: Link-walk cap for inlined sorted inserts (see
-#: ``eventcore._SORTED_INSERT_MAX`` — the reference; keep in lockstep).
-_SORTED_INSERT_MAX = 16
-#: NaN never compares equal: an invalidated array-core insert cache
-#: auto-misses with no validity branch (see ``eventcore._NAN``).
-_NAN = float("nan")
-
-#: Initial calendar geometry. 64 buckets of 1 simulated second hold the
-#: steady monitoring/steal-timer drizzle without a rebuild; both numbers
-#: self-tune (see ``Environment._rebuild``).
-_INITIAL_BUCKETS = 64
-_INITIAL_WIDTH = 1.0
 
 #: A sorted bucket this long means the width is far too coarse (many
 #: distinct times share a bucket) — trigger a recalibration.
@@ -313,8 +300,7 @@ class Timeout(Event):
         core = env._core
         if core is not None:
             # array core (the default): the coalesce-cache hit is inlined
-            # (two scalar compares + a list append, mirroring the
-            # calendar's _ins_entry check below); bucketing and the
+            # (two scalar compares + a list append); bucketing and the
             # rebuild trigger live in ArrayCalendar.push_new.
             if core.ins_t == t and core.ins_p == NORMAL:
                 core.ins_chain.append(self)
@@ -322,39 +308,10 @@ class Timeout(Event):
             else:
                 core.push_new(t, NORMAL, seq, self)
             return
-        if env._use_heap:
-            q = env._queue
-            _heappush(q, (t, NORMAL, seq, self))
-            if len(q) > env._max_queue_len:
-                env._max_queue_len = len(q)
-            return
-        # inlined calendar insert (same code in timeout(), sleep() and
-        # _schedule()): coalesce into the last-created entry when the
-        # deadline and priority match, else open a new chained entry.
-        e = env._ins_entry
-        if e is not None and e[0] == t and e[1] == NORMAL:
-            e[3].append(self)
-            env._qsize += 1
-            return
-        try:
-            v = int(t * env._inv_width)
-        except OverflowError:
-            v = _FAR_FUTURE
-        i = v & env._mask
-        b = env._buckets[i]
-        if b:
-            env._dirty[i] = 1
-        entry = (t, NORMAL, seq, [self], v)
-        b.append(entry)
-        env._ins_entry = entry
-        if v < env._cur_v:
-            env._cur_v = v
-        qsize = env._qsize + 1
-        env._qsize = qsize
-        if qsize > env._max_queue_len:
-            env._max_queue_len = qsize
-            if qsize > env._grow_at:
-                env._need_rebuild = True
+        q = env._queue
+        _heappush(q, (t, NORMAL, seq, self))
+        if len(q) > env._max_queue_len:
+            env._max_queue_len = len(q)
 
     def cancel(self) -> None:
         """Lazily cancel a scheduled timeout: its callbacks never run.
@@ -625,15 +582,15 @@ class Environment:
 
     ``scheduler`` selects the pending-event structure: ``"array"``
     (default — the calendar queue over typed-array storage,
-    :class:`repro.simgrid.eventcore.ArrayCalendar`), ``"calendar"``
-    (the object-tuple calendar, retained as a second reference) or
-    ``"heap"`` (the original binary-heap loop, the executable spec).
-    All three produce identical event orders, asserted by the
-    equivalence and differential tests.
+    :class:`repro.simgrid.eventcore.ArrayCalendar`) or ``"heap"`` (the
+    original binary-heap loop, the executable spec). Both produce
+    identical event orders, asserted by the equivalence and
+    differential tests.
     """
 
-    #: valid ``scheduler=`` names, in default-first order.
-    SCHEDULERS = ("array", "calendar", "heap")
+    #: valid ``scheduler=`` names, in default-first order (the one
+    #: definition: ``repro.config.SCHEDULERS`` is this tuple).
+    SCHEDULERS = ("array", "heap")
 
     def __init__(self, initial_time: float = 0.0, scheduler: str = "array") -> None:
         if scheduler not in Environment.SCHEDULERS:
@@ -647,12 +604,8 @@ class Environment:
         #: write it.
         self.now = float(initial_time)
         self.scheduler = scheduler
-        self._use_heap = scheduler == "heap"
         self._use_array = scheduler == "array"
         self._seq = 0  # next (time, priority, seq) tiebreaker; int, not itertools.count
-        #: calendar geometry recalibrations (occupancy counter; the array
-        #: core keeps its own and heap never rebuilds).
-        self._rebuild_count = 0
         self._active: Optional[Process] = None
         self._event_count = 0
         self._max_queue_len = 0
@@ -676,52 +629,7 @@ class Environment:
             self._core: Optional[ArrayCalendar] = ArrayCalendar(self)
             return
         self._core = None
-        if self._use_heap:
-            self._queue: list[tuple[float, int, int, Event]] = []
-            return
-        # -- calendar state (see docs/performance.md, "Event scheduler") --
-        # Entries are (time, priority, seq0, chain, v): *chain* is the
-        # list of every event sharing this exact (time, priority) —
-        # fired in append order, which is seq order, so the chain is the
-        # (time, priority, seq) total order materialised — seq0 is the
-        # first member's seq (the entry's sort tiebreaker) and v is the
-        # virtual bucket number int(time / width) at insert time,
-        # recomputed for every entry on rebuild so stored v always
-        # matches the current width. Buckets are kept sorted descending
-        # (pop = list.pop() from the end) and lazily resorted via _dirty.
-        # _ins_entry caches the last entry appended to: inserts for the
-        # same deadline and priority coalesce into its chain for the
-        # cost of one list append (the tentpole's coalesced-deadline
-        # path). The cache is dropped when the entry is popped and never
-        # returns to an older entry, so any later entry with an equal
-        # (time, priority) holds strictly larger seqs and chain
-        # concatenation order stays the seq order.
-        self._width = _INITIAL_WIDTH
-        self._inv_width = 1.0 / _INITIAL_WIDTH
-        self._mask = _INITIAL_BUCKETS - 1
-        self._buckets: list[list[tuple]] = [[] for _ in range(_INITIAL_BUCKETS)]
-        self._dirty = [0] * _INITIAL_BUCKETS
-        self._qsize = 0
-        self._grow_at = 4 * _INITIAL_BUCKETS
-        self._need_rebuild = False
-        self._last_rebuild_seq = 0
-        #: coalescing insert cache: the most recently created entry.
-        self._ins_entry: Optional[tuple] = None
-        #: urgent-insert generation counter (see _schedule / the drain).
-        self._u0 = 0
-        v = self._v_of(self.now)
-        #: cursor: no queued entry has a virtual bucket number below this.
-        self._cur_v = v
-        #: int(now / width), maintained on every clock change so the
-        #: delay=0 fast path in _schedule skips the float multiply.
-        self._now_v = v
-
-    def _v_of(self, t: float) -> int:
-        """Virtual bucket number of time ``t`` under the current width."""
-        try:
-            return int(t * self._inv_width)
-        except OverflowError:
-            return _FAR_FUTURE
+        self._queue: list[tuple[float, int, int, Event]] = []
 
     # -- clock -----------------------------------------------------------
     @property
@@ -741,15 +649,12 @@ class Environment:
 
     def stats(self) -> dict[str, float]:
         """Event-loop statistics, captured by the telemetry layer."""
-        if self._use_heap:
-            qlen = len(self._queue)
-            rebuilds = 0
-        elif self._use_array:
+        if self._use_array:
             qlen = self._core.qsize
             rebuilds = self._core.rebuild_count
         else:
-            qlen = self._qsize
-            rebuilds = self._rebuild_count
+            qlen = len(self._queue)
+            rebuilds = 0
         pending_tombs = len(self._tombs)
         stats = {
             "events_processed": float(self._event_count),
@@ -776,19 +681,14 @@ class Environment:
             "rebuilds": float(rebuilds),
         }
         if self._use_array:
+            # The array core's geometry gauges. calendar_entries counts
+            # chained entries (occupied slots); the gap between
+            # queue_len (events) and it is how many inserts the
+            # coalesced-deadline path absorbed.
             core = self._core
             stats["calendar_buckets"] = float(core.mask + 1)
             stats["calendar_width"] = core.width
             stats["calendar_entries"] = float(core.entries())
-        elif not self._use_heap:
-            stats["calendar_buckets"] = float(self._mask + 1)
-            stats["calendar_width"] = self._width
-            # Number of chained entries actually sitting in buckets; the
-            # gap between queue_len (events) and this (entries) is how
-            # many inserts the coalesced-deadline path absorbed.
-            stats["calendar_entries"] = float(
-                sum(len(b) for b in self._buckets)
-            )
         return stats
 
     def add_clock_listener(self, fn: Callable[[float, float], None]) -> None:
@@ -845,8 +745,7 @@ class Environment:
             # Inlined ArrayCalendar.push_new (the reference; keep the
             # two in lockstep) — this is the hottest insert in the
             # simulator and the call plus argument passing is
-            # measurable, exactly as the object calendar inlines its
-            # whole insert below.
+            # measurable.
             free = core.free
             if not free:
                 core._grow()
@@ -935,41 +834,10 @@ class Environment:
                 ):
                     core.need_rebuild = True
             return t
-        if self._use_heap:
-            q = self._queue
-            _heappush(q, (when, NORMAL, seq, t))
-            if len(q) > self._max_queue_len:
-                self._max_queue_len = len(q)
-            return t
-        e = self._ins_entry
-        if e is not None and e[0] == when and e[1] == NORMAL:
-            # Coalesced-deadline path: this deadline already has a queued
-            # chain — joining it costs one list append (no bucket math,
-            # no tuple, no re-sort). Within a chain, events fire in
-            # append order, which is seq order, so the (time, priority,
-            # seq) total order is preserved exactly.
-            e[3].append(t)
-            self._qsize += 1
-            return t
-        try:
-            v = int(when * self._inv_width)
-        except OverflowError:
-            v = _FAR_FUTURE
-        i = v & self._mask
-        b = self._buckets[i]
-        if b:
-            self._dirty[i] = 1
-        entry = (when, NORMAL, seq, [t], v)
-        b.append(entry)
-        self._ins_entry = entry
-        if v < self._cur_v:
-            self._cur_v = v
-        qsize = self._qsize + 1
-        self._qsize = qsize
-        if qsize > self._max_queue_len:
-            self._max_queue_len = qsize
-            if qsize > self._grow_at:
-                self._need_rebuild = True
+        q = self._queue
+        _heappush(q, (when, NORMAL, seq, t))
+        if len(q) > self._max_queue_len:
+            self._max_queue_len = len(q)
         return t
 
     def sleep(self, delay: float) -> Timeout:
@@ -1009,10 +877,7 @@ class Environment:
             et = core.et
             ep = core.ep
             # Inlined ArrayCalendar.push_new (the reference; keep the
-            # two in lockstep) — this is the hottest insert in the
-            # simulator and the call plus argument passing is
-            # measurable, exactly as the object calendar inlines its
-            # whole insert below.
+            # two in lockstep): same reason and same code as timeout().
             free = core.free
             if not free:
                 core._grow()
@@ -1101,36 +966,10 @@ class Environment:
                 ):
                     core.need_rebuild = True
             return t
-        if self._use_heap:
-            q = self._queue
-            _heappush(q, (when, NORMAL, seq, t))
-            if len(q) > self._max_queue_len:
-                self._max_queue_len = len(q)
-            return t
-        e = self._ins_entry
-        if e is not None and e[0] == when and e[1] == NORMAL:
-            e[3].append(t)
-            self._qsize += 1
-            return t
-        try:
-            v = int(when * self._inv_width)
-        except OverflowError:
-            v = _FAR_FUTURE
-        i = v & self._mask
-        b = self._buckets[i]
-        if b:
-            self._dirty[i] = 1
-        entry = (when, NORMAL, seq, [t], v)
-        b.append(entry)
-        self._ins_entry = entry
-        if v < self._cur_v:
-            self._cur_v = v
-        qsize = self._qsize + 1
-        self._qsize = qsize
-        if qsize > self._max_queue_len:
-            self._max_queue_len = qsize
-            if qsize > self._grow_at:
-                self._need_rebuild = True
+        q = self._queue
+        _heappush(q, (when, NORMAL, seq, t))
+        if len(q) > self._max_queue_len:
+            self._max_queue_len = len(q)
         return t
 
     def process(self, generator: Generator[Event, Any, Any], name: str = "") -> Process:
@@ -1151,10 +990,10 @@ class Environment:
         if core is not None:
             t = self.now if delay == 0.0 else self.now + delay
             if core.ins_t == t and core.ins_p == priority:
-                # Coalesced (instant, priority) chain — and, mirroring
-                # the calendar, no urgent-generation bump: the chain the
-                # cache points at is already ordered after the drain
-                # position, so no preemption is needed.
+                # Coalesced (instant, priority) chain — and no
+                # urgent-generation bump: the chain the cache points at
+                # is already ordered after the drain position, so no
+                # preemption is needed.
                 core.ins_chain.append(event)
                 core.qsize += 1
                 return
@@ -1165,9 +1004,11 @@ class Environment:
                 return
             # Inlined ArrayCalendar.push_at_now_new (the reference; keep
             # the two in lockstep) — almost every remaining _schedule
-            # call targets the current instant, whose bucket number is
-            # cached, and lands in the bucket the run loop is draining:
-            # link at the sorted position instead of dirty-marking.
+            # call (succeed / fail / interrupt / initialize) targets the
+            # current instant, whose bucket number is cached, and lands
+            # in the bucket the run loop is draining: link at the sorted
+            # position instead of dirty-marking, which would force the
+            # drain to break and re-sort per entry.
             es = core.es
             nxt = core.nxt
             v = core.now_v
@@ -1252,205 +1093,31 @@ class Environment:
                 ):
                     core.need_rebuild = True
             return
-        if self._use_heap:
-            q = self._queue
-            _heappush(q, (self.now + delay, priority, seq, event))
-            if len(q) > self._max_queue_len:
-                self._max_queue_len = len(q)
-            return
-        if delay == 0.0:
-            t = self.now
-            e = self._ins_entry
-            if e is not None and e[0] == t and e[1] == priority:
-                # Coalesced-deadline path: join the queued chain for
-                # this exact (instant, priority).
-                e[3].append(event)
-                self._qsize += 1
-                return
-            # Almost every remaining _schedule call (succeed / fail /
-            # interrupt / initialize) targets the current instant, whose
-            # bucket number is cached. These inserts usually land in the
-            # bucket the run loop is *draining*, so instead of
-            # dirty-marking (which would force the drain to break and
-            # re-sort per entry) place the entry at its sorted position
-            # directly — it belongs at or near the tail: every
-            # same-instant chain head has a smaller seq and anything
-            # later-timed is larger, so the backward scan is
-            # O(same-instant peers).
-            v = self._now_v
-            i = v & self._mask
-            b = self._buckets[i]
-            if priority == URGENT:
-                # The run loop's chain drain watches this counter: an
-                # urgent insert at the current instant must preempt the
-                # NORMAL chain being drained.
-                self._u0 += 1
-            if not self._dirty[i]:
-                entry = (t, priority, seq, [event], v)
-                pos = blen = len(b)
-                while pos and b[pos - 1] < entry:
-                    pos -= 1
-                if pos == blen:
-                    b.append(entry)
-                else:
-                    b.insert(pos, entry)
-                self._ins_entry = entry
-                if v < self._cur_v:
-                    self._cur_v = v
-                qsize = self._qsize + 1
-                self._qsize = qsize
-                if qsize > self._max_queue_len:
-                    self._max_queue_len = qsize
-                    if qsize > self._grow_at:
-                        self._need_rebuild = True
-                return
-        else:
-            t = self.now + delay
-            e = self._ins_entry
-            if e is not None and e[0] == t and e[1] == priority:
-                e[3].append(event)
-                self._qsize += 1
-                return
-            try:
-                v = int(t * self._inv_width)
-            except OverflowError:
-                v = _FAR_FUTURE
-            i = v & self._mask
-            b = self._buckets[i]
-        if b:
-            self._dirty[i] = 1
-        entry = (t, priority, seq, [event], v)
-        b.append(entry)
-        self._ins_entry = entry
-        if v < self._cur_v:
-            self._cur_v = v
-        qsize = self._qsize + 1
-        self._qsize = qsize
-        if qsize > self._max_queue_len:
-            self._max_queue_len = qsize
-            if qsize > self._grow_at:
-                self._need_rebuild = True
-
-    def _rebuild(self) -> None:
-        """Re-tune the calendar geometry and re-bucket every entry.
-
-        Bucket count follows the live entry count (load factor kept in
-        roughly [1/8, 4]); width is estimated from the spread of queued
-        event times (``3 * span / (n - 1)``, i.e. ~3 mean gaps per
-        bucket, the classic calendar-queue rule). All entries' virtual
-        bucket numbers are recomputed under the new width, so stored
-        ``v`` always matches ``int(time / width)``.
-        """
-        entries: list[tuple] = []
-        for b in self._buckets:
-            entries.extend(b)
-        self._need_rebuild = False
-        self._last_rebuild_seq = self._seq
-        self._rebuild_count += 1
-        n = len(entries)
-        nbuckets = _INITIAL_BUCKETS
-        while nbuckets < 2 * n and nbuckets < (1 << 16):
-            nbuckets <<= 1
-        if n >= 2:
-            times = sorted(e[0] for e in entries)
-            span = times[-1] - times[0]
-            if span > 0.0:
-                width = 3.0 * span / (n - 1)
-                self._width = min(max(width, 1e-9), 1e15)
-                self._inv_width = 1.0 / self._width
-        inv = self._inv_width
-        mask = nbuckets - 1
-        self._mask = mask
-        self._buckets = buckets = [[] for _ in range(nbuckets)]
-        self._dirty = dirty = [0] * nbuckets
-        self._grow_at = 4 * nbuckets
-        min_v = None
-        for e in entries:
-            t = e[0]
-            try:
-                v = int(t * inv)
-            except OverflowError:
-                v = _FAR_FUTURE
-            i = v & mask
-            buckets[i].append((t, e[1], e[2], e[3], v))
-            dirty[i] = 1
-            if min_v is None or v < min_v:
-                min_v = v
-        nv = self._v_of(self.now)
-        self._now_v = nv
-        self._cur_v = nv if min_v is None else min_v
-
-    def _find_head(self) -> Optional[tuple]:
-        """The globally minimal live entry, or None if only tombstones
-        remain. Sorts dirty buckets and discards tombstoned events
-        surfacing at bucket-head chains along the way (recycling pooled
-        ones), so afterwards the returned entry is
-        ``buckets[head[4] & mask][-1]`` and its chain is live.
-        """
-        tombs = self._tombs
-        tpool = self._tpool
-        dirty = self._dirty
-        best = None
-        for i, b in enumerate(self._buckets):
-            if not b:
-                continue
-            if dirty[i]:
-                b.sort(reverse=True)
-                dirty[i] = 0
-            while b:
-                head = b[-1]
-                chain = head[3]
-                if tombs:
-                    k = 0
-                    while k < len(chain):
-                        ev = chain[k]
-                        if ev in tombs:
-                            del chain[k]
-                            tombs.discard(ev)
-                            self._qsize -= 1
-                            self._cancelled_skipped += 1
-                            ev._cb1 = None
-                            ev._cbs = None
-                            ev._processed = True
-                            if ev._pooled:
-                                tpool.append(ev)
-                        else:
-                            k += 1
-                    if not chain:
-                        b.pop()
-                        if head is self._ins_entry:
-                            self._ins_entry = None
-                        continue
-                if best is None or head < best:
-                    best = head
-                break
-        return best
+        q = self._queue
+        _heappush(q, (self.now + delay, priority, seq, event))
+        if len(q) > self._max_queue_len:
+            self._max_queue_len = len(q)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._use_heap:
-            q = self._queue
-            tombs = self._tombs
-            while q and tombs and q[0][3] in tombs:
-                _, _, _, ev = _heappop(q)
-                tombs.discard(ev)
-                self._cancelled_skipped += 1
-                ev._cb1 = None
-                ev._cbs = None
-                ev._processed = True
-                if ev._pooled:
-                    self._tpool.append(ev)
-            return q[0][0] if q else float("inf")
         if self._use_array:
             core = self._core
             if core.need_rebuild:
                 core.rebuild()
             h = core.find_head()
             return core.et[h] if h >= 0 else float("inf")
-        if self._need_rebuild:
-            self._rebuild()
-        head = self._find_head()
-        return head[0] if head is not None else float("inf")
+        q = self._queue
+        tombs = self._tombs
+        while q and tombs and q[0][3] in tombs:
+            _, _, _, ev = _heappop(q)
+            tombs.discard(ev)
+            self._cancelled_skipped += 1
+            ev._cb1 = None
+            ev._cbs = None
+            ev._processed = True
+            if ev._pooled:
+                self._tpool.append(ev)
+        return q[0][0] if q else float("inf")
 
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
@@ -1459,23 +1126,7 @@ class Environment:
         loops in :meth:`run` inline exactly this sequence (plus the
         tombstone discard that :meth:`peek` performs here).
         """
-        if self._use_heap:
-            queue = self._queue
-            tombs = self._tombs
-            while True:
-                if not queue:
-                    raise SimulationError("step() on an empty event queue")
-                when, _prio, _seq, event = _heappop(queue)
-                if not (tombs and event in tombs):
-                    break
-                tombs.discard(event)
-                self._cancelled_skipped += 1
-                event._cb1 = None
-                event._cbs = None
-                event._processed = True
-                if event._pooled:
-                    self._tpool.append(event)
-        elif self._use_array:
+        if self._use_array:
             core = self._core
             if core.need_rebuild:
                 core.rebuild()
@@ -1501,26 +1152,21 @@ class Environment:
             core.qsize -= 1
             core.cur_v = hv
         else:
-            if self._need_rebuild:
-                self._rebuild()
-            head = self._find_head()
-            if head is None:
-                raise SimulationError("step() on an empty event queue")
-            when = head[0]
-            hv = head[4]
-            chain = head[3]
-            event = chain[0]
-            if len(chain) == 1:
-                self._buckets[hv & self._mask].pop()
-                if head is self._ins_entry:
-                    self._ins_entry = None
-            else:
-                # Later chain members stay queued under the entry's
-                # original seq0 — still a valid tiebreaker, since any
-                # other (time, priority) twin entry holds larger seqs.
-                del chain[0]
-            self._qsize -= 1
-            self._cur_v = hv
+            queue = self._queue
+            tombs = self._tombs
+            while True:
+                if not queue:
+                    raise SimulationError("step() on an empty event queue")
+                when, _prio, _seq, event = _heappop(queue)
+                if not (tombs and event in tombs):
+                    break
+                tombs.discard(event)
+                self._cancelled_skipped += 1
+                event._cb1 = None
+                event._cbs = None
+                event._processed = True
+                if event._pooled:
+                    self._tpool.append(event)
         if when < self.now:  # pragma: no cover - guarded by schedule logic
             raise SimulationError("event scheduled in the past")
         if when > self.now:
@@ -1528,8 +1174,6 @@ class Environment:
             self.now = when
             if self._use_array:
                 self._core.now_v = hv
-            elif not self._use_heap:
-                self._now_v = hv
             for fn in self._clock_listeners:
                 fn(old, when)
         self._event_count += 1
@@ -1561,12 +1205,7 @@ class Environment:
         * an :class:`Event` — run until that event is processed, returning
           its value (or raising its failure).
         """
-        if self._use_array:
-            runner = self._run_array
-        elif self._use_heap:
-            runner = self._run_heap_reference
-        else:
-            runner = self._run_calendar
+        runner = self._run_array if self._use_array else self._run_heap_reference
         if until is None:
             runner(float("inf"))
             return None
@@ -1605,364 +1244,32 @@ class Environment:
         if self._use_array:
             core = self._core
             core.now_v = core.v_of(deadline)
-        elif not self._use_heap:
-            self._now_v = self._v_of(deadline)
         return None
 
-    def _run_calendar(self, deadline: float) -> None:
-        """The hot event loop: semantically ``while queue: step()`` with
-        cached bindings, stopping once the minimal pending time exceeds
-        ``deadline``.
+    def _run_array(self, deadline: float) -> None:
+        """The default hot event loop, over the typed-array core:
+        semantically ``while queue: step()`` with cached bindings,
+        stopping once the minimal pending time exceeds ``deadline``.
 
-        The cursor ``_cur_v`` sweeps the bucket array; a bucket whose
+        The cursor ``core.cur_v`` sweeps the bucket array; a bucket whose
         sorted head carries the cursor's virtual bucket number is drained
         entry by entry in ``(time, priority, seq)`` order. Callbacks may
-        insert behind the cursor (``_cur_v`` drops), dirty the current
+        insert behind the cursor (``cur_v`` drops), dirty the current
         bucket, or request a rebuild — the drain re-checks all three
         after every dispatch and falls back to the outer loop. After a
         fruitless sweep of the whole array the loop locates the global
-        minimum directly and jumps the cursor to it (the steady state for
-        sparse queues idling between monitoring periods).
-        """
-        buckets = self._buckets
-        dirty = self._dirty
-        mask = self._mask
-        tombs = self._tombs
-        tpool = self._tpool
-        listeners = self._clock_listeners
-        processed = 0
-        scans = 0
-        try:
-            while self._qsize:
-                if self._need_rebuild:
-                    self._rebuild()
-                    buckets = self._buckets
-                    dirty = self._dirty
-                    mask = self._mask
-                cur_v = self._cur_v
-                i = cur_v & mask
-                b = buckets[i]
-                if b:
-                    if dirty[i]:
-                        b.sort(reverse=True)
-                        dirty[i] = 0
-                        if (
-                            len(b) >= _DEGENERATE_BUCKET
-                            and self._seq - self._last_rebuild_seq > 256
-                        ):
-                            self._need_rebuild = True
-                            continue
-                    head = b[-1]
-                    hv = head[4]
-                else:
-                    hv = -1
-                if hv != cur_v:
-                    if b and hv < cur_v:  # pragma: no cover - cursor invariant
-                        self._cur_v = hv
-                        continue
-                    # Nothing for the cursor's year: advance, or after a
-                    # full fruitless sweep jump straight to the minimum.
-                    scans += 1
-                    if scans > mask:
-                        head = self._find_head()
-                        if head is None:
-                            return  # only tombstones remained
-                        self._cur_v = head[4]
-                        scans = 0
-                    else:
-                        if mask > 63 and self._qsize < (mask + 1) >> 3:
-                            self._need_rebuild = True
-                        self._cur_v = cur_v + 1
-                    continue
-                # Drain the bucket: every tail entry carrying the
-                # cursor's virtual bucket number is globally next, and
-                # its chain holds every event at that exact
-                # (time, priority) in seq order. The clock advances once
-                # per entry, not once per event. The consumed-event
-                # count is kept in a local and flushed once (inserts
-                # during callbacks update _qsize independently, so the
-                # deferred decrement composes; _max_queue_len may read a
-                # few low mid-drain, which stats can live with).
-                scans = 0
-                npop = 0
-                try:
-                    while True:
-                        when = head[0]
-                        if when > deadline:
-                            return
-                        b.pop()
-                        self._ins_entry = None
-                        # The heap reference advances the clock only when
-                        # it dispatches a *live* event: a popped entry
-                        # whose chain turns out to be all tombstones must
-                        # leave the clock (and the clock listeners)
-                        # untouched. With tombstones pending, defer the
-                        # advance to the first live dispatch.
-                        if tombs:
-                            clock_pending = True
-                        else:
-                            clock_pending = False
-                            now = self.now
-                            if when > now:
-                                self.now = when
-                                self._now_v = hv
-                                if listeners:
-                                    for fn in listeners:
-                                        fn(now, when)
-                        chain = head[3]
-                        n = len(chain)
-                        npop += n
-                        if n == 1:
-                            # Solo entry (the cascade shape: store
-                            # ping-pong, sparse timers): skip the chain
-                            # walk's index loop, urgent watch and
-                            # requeue guard — a popped solo event has
-                            # nothing left to preempt or requeue.
-                            event = chain[0]
-                            if tombs and event in tombs:
-                                tombs.discard(event)
-                                self._cancelled_skipped += 1
-                                event._cb1 = None
-                                event._cbs = None
-                                event._processed = True
-                                if event._pooled:
-                                    tpool.append(event)
-                            else:
-                                if clock_pending:
-                                    clock_pending = False
-                                    now = self.now
-                                    if when > now:
-                                        self.now = when
-                                        self._now_v = hv
-                                        if listeners:
-                                            for fn in listeners:
-                                                fn(now, when)
-                                processed += 1
-                                cb1 = event._cb1
-                                cbs = event._cbs
-                                event._cb1 = None
-                                event._cbs = None
-                                event._processed = True
-                                if cb1 is None:
-                                    pass
-                                elif cb1.__class__ is not Process:
-                                    cb1(event)
-                                    if cbs:
-                                        for fn in cbs:
-                                            fn(event)
-                                else:
-                                    # Inlined Process._resume fast path
-                                    # (lockstep with _resume and the
-                                    # chain walk below).
-                                    if cb1._value is _PENDING:
-                                        target = cb1._target
-                                        if (
-                                            target is not None
-                                            and target is not event
-                                        ):
-                                            target.remove_callback(cb1)
-                                        cb1._target = None
-                                        self._active = cb1
-                                        try:
-                                            if event._ok:
-                                                nxt = cb1._send(event._value)
-                                            else:
-                                                event._defused = True
-                                                nxt = cb1._throw(event._value)
-                                        except StopIteration as stop:
-                                            self._active = None
-                                            cb1._ok = True
-                                            cb1._value = stop.value
-                                            self._schedule(cb1, NORMAL)
-                                        except BaseException as exc:
-                                            self._active = None
-                                            cb1.fail(exc)
-                                        else:
-                                            self._active = None
-                                            if (
-                                                (
-                                                    nxt.__class__ is Timeout
-                                                    or isinstance(nxt, Event)
-                                                )
-                                                and nxt.env is self
-                                                and not nxt._processed
-                                                and nxt._cb1 is None
-                                            ):
-                                                nxt._cb1 = cb1
-                                                cb1._target = nxt
-                                            else:
-                                                cb1._finish_resume(nxt)
-                                    if cbs:
-                                        for fn in cbs:
-                                            fn(event)
-                                if not event._ok and not event._defused:
-                                    exc = event._value
-                                    raise exc if isinstance(
-                                        exc, BaseException
-                                    ) else SimulationError(str(exc))
-                                if event._pooled:
-                                    tpool.append(event)
-                            if not b:
-                                break
-                            if (
-                                dirty[i]
-                                or self._cur_v != cur_v
-                                or self._need_rebuild
-                            ):
-                                break
-                            head = b[-1]
-                            if head[4] != cur_v:
-                                break
-                            continue
-                        prio = head[1]
-                        u0 = self._u0
-                        idx = 0
-                        try:
-                            while idx < n:
-                                event = chain[idx]
-                                idx += 1
-                                if tombs and event in tombs:
-                                    tombs.discard(event)
-                                    self._cancelled_skipped += 1
-                                    event._cb1 = None
-                                    event._cbs = None
-                                    event._processed = True
-                                    if event._pooled:
-                                        tpool.append(event)
-                                    continue
-                                if clock_pending:
-                                    clock_pending = False
-                                    now = self.now
-                                    if when > now:
-                                        self.now = when
-                                        self._now_v = hv
-                                        if listeners:
-                                            for fn in listeners:
-                                                fn(now, when)
-                                processed += 1
-                                cb1 = event._cb1
-                                cbs = event._cbs
-                                event._cb1 = None
-                                event._cbs = None
-                                event._processed = True
-                                if cb1 is None:
-                                    pass
-                                elif cb1.__class__ is not Process:
-                                    cb1(event)
-                                    if cbs:
-                                        for fn in cbs:
-                                            fn(event)
-                                else:
-                                    # Inlined Process._resume fast path —
-                                    # _resume stays the reference; keep
-                                    # the two in lockstep.
-                                    if cb1._value is _PENDING:
-                                        target = cb1._target
-                                        if (
-                                            target is not None
-                                            and target is not event
-                                        ):
-                                            target.remove_callback(cb1)
-                                        cb1._target = None
-                                        self._active = cb1
-                                        try:
-                                            if event._ok:
-                                                nxt = cb1._send(event._value)
-                                            else:
-                                                event._defused = True
-                                                nxt = cb1._throw(event._value)
-                                        except StopIteration as stop:
-                                            self._active = None
-                                            cb1._ok = True
-                                            cb1._value = stop.value
-                                            self._schedule(cb1, NORMAL)
-                                        except BaseException as exc:
-                                            self._active = None
-                                            cb1.fail(exc)
-                                        else:
-                                            self._active = None
-                                            if (
-                                                (
-                                                    nxt.__class__ is Timeout
-                                                    or isinstance(nxt, Event)
-                                                )
-                                                and nxt.env is self
-                                                and not nxt._processed
-                                                and nxt._cb1 is None
-                                            ):
-                                                nxt._cb1 = cb1
-                                                cb1._target = nxt
-                                            else:
-                                                cb1._finish_resume(nxt)
-                                    if cbs:
-                                        for fn in cbs:
-                                            fn(event)
-                                if not event._ok and not event._defused:
-                                    exc = event._value
-                                    raise exc if isinstance(
-                                        exc, BaseException
-                                    ) else SimulationError(str(exc))
-                                if event._pooled:
-                                    tpool.append(event)
-                                if prio and self._u0 != u0:
-                                    # An urgent insert for this instant
-                                    # must preempt the rest of a NORMAL
-                                    # chain: requeue the remainder under
-                                    # the original seq0 (still the
-                                    # smallest seq for this (time,
-                                    # priority)) and let the outer loop
-                                    # re-sort.
-                                    if idx < n:
-                                        b.append(
-                                            (when, prio, head[2], chain[idx:], hv)
-                                        )
-                                        dirty[i] = 1
-                                        npop -= n - idx
-                                    break
-                        except BaseException:
-                            if idx < n:
-                                # A callback raised (StopSimulation, a
-                                # propagated failure, ...) mid-chain:
-                                # requeue the undispatched remainder so
-                                # a later run() resumes exactly where
-                                # the heap reference would.
-                                b.append((when, prio, head[2], chain[idx:], hv))
-                                dirty[i] = 1
-                                npop -= n - idx
-                            raise
-                        # Dispatch may have scheduled into this bucket
-                        # (dirty), behind the cursor, or flagged a
-                        # rebuild; any of those invalidates the drain.
-                        if not b:
-                            break
-                        if (
-                            dirty[i]
-                            or self._cur_v != cur_v
-                            or self._need_rebuild
-                        ):
-                            break
-                        head = b[-1]
-                        if head[4] != cur_v:
-                            break
-                finally:
-                    self._qsize -= npop
-        finally:
-            self._event_count += processed
+        minimum directly and jumps the cursor to it (the steady state
+        for sparse queues idling between monitoring periods).
 
-    def _run_array(self, deadline: float) -> None:
-        """The default hot event loop, over the typed-array core.
-
-        In lockstep with :meth:`_run_calendar` — same cursor sweep,
-        bucket drain, urgent-preempt and requeue rules, so the dispatch
-        order is identical by construction. Only the storage operations
-        differ: entries are slots in :class:`ArrayCalendar`'s flat
-        arrays, bucket membership is an intrusive index chain
-        (``bhead``/``nxt``) instead of a Python list, and a drained
-        slot returns to the free list instead of the garbage collector.
-        Capacity growth extends the arrays in place, so the local
-        bindings below stay valid across callbacks; only a rebuild
-        replaces ``bhead``/``bdirty``/``mask`` (rebound at the loop
-        top, where rebuilds run).
+        Entries are slots in :class:`ArrayCalendar`'s flat arrays,
+        bucket membership is an intrusive index chain (``bhead``/``nxt``)
+        and a drained slot returns to the free list. Capacity growth
+        extends the arrays in place, so the local bindings below stay
+        valid across callbacks; only a rebuild replaces
+        ``bhead``/``bdirty``/``mask`` (rebound at the loop top, where
+        rebuilds run). The dispatch order is asserted identical to
+        :meth:`_run_heap_reference` by the equivalence and differential
+        tests.
         """
         core = self._core
         et = core.et
@@ -2020,8 +1327,17 @@ class Environment:
                             core.need_rebuild = True
                         core.cur_v = cur_v + 1
                     continue
-                # Drain the bucket (see _run_calendar for the full
-                # commentary; hv == cur_v for every entry drained here).
+                # Drain the bucket: every head entry carrying the
+                # cursor's virtual bucket number (hv == cur_v) is
+                # globally next, and its chain holds every event at that
+                # exact (time, priority) in seq order. The clock
+                # advances once per entry, not once per event. The
+                # consumed-event count is kept in a local and flushed
+                # once (inserts during callbacks update qsize
+                # independently, so the deferred decrement composes;
+                # qsize overstates by the events consumed so far, so
+                # _max_queue_len may read a few high, which stats can
+                # live with).
                 scans = 0
                 npop = 0
                 try:
@@ -2036,6 +1352,12 @@ class Environment:
                             # cache survives pops of *other* slots (it
                             # only ever moves forward to newer entries).
                             core.ins_t = _NAN
+                        # The heap reference advances the clock only when
+                        # it dispatches a *live* event: a popped entry
+                        # whose chain turns out to be all tombstones must
+                        # leave the clock (and the clock listeners)
+                        # untouched. With tombstones pending, defer the
+                        # advance to the first live dispatch.
                         if tombs:
                             clock_pending = True
                         else:
@@ -2050,10 +1372,14 @@ class Environment:
                         n = len(chain)
                         npop += n
                         if n == 1:
-                            # Solo entry: the slot is dead the moment its
-                            # sole event is off the chain — recycle it
-                            # before dispatch so a callback's insert can
-                            # reuse it immediately.
+                            # Solo entry (the cascade shape: store
+                            # ping-pong, sparse timers): skip the chain
+                            # walk's index loop, urgent watch and requeue
+                            # guard — a popped solo event has nothing left
+                            # to preempt or requeue. The slot is dead the
+                            # moment its sole event is off the chain, so
+                            # recycle it before dispatch and a callback's
+                            # insert can reuse it immediately.
                             event = chain[0]
                             chain.clear()
                             free.append(h)
@@ -2298,9 +1624,9 @@ class Environment:
             self._event_count += processed
 
     def _run_heap_reference(self, deadline: float) -> None:
-        """The retained binary-heap run loop (PR 3's ``_run_inlined``),
-        semantically ``while queue: step()``; the reference the calendar
-        scheduler is asserted equivalent against."""
+        """The retained binary-heap run loop, semantically
+        ``while queue: step()``; the executable spec :meth:`_run_array`
+        is asserted equivalent against."""
         queue = self._queue
         pop = _heappop
         tombs = self._tombs

@@ -1,11 +1,10 @@
 """Typed-array calendar event core (struct-of-arrays scheduler storage).
 
 This module holds the storage half of the default ``scheduler="array"``
-event queue: the same self-resizing calendar-queue *algorithm* as the
-object-tuple implementation retained behind ``scheduler="calendar"``
-(see ``Environment._run_calendar`` and docs/performance.md, "Event
-scheduler"), but with every queued entry living in flat typed arrays
-instead of a ``(time, priority, seq, chain, v)`` tuple:
+event queue, a self-resizing calendar queue (the drain loop is
+``Environment._run_array``; sizing rules and the determinism argument
+are in docs/performance.md, "Event scheduler"). Every queued entry lives
+in flat typed arrays:
 
 * per-slot fields are parallel arrays — ``et`` (``float64`` deadline),
   ``ep``/``es``/``ev`` (``int64`` priority / first-member seq / virtual
@@ -15,14 +14,13 @@ instead of a ``(time, priority, seq, chain, v)`` tuple:
   when clean and lazily re-sorted via the ``bdirty`` byte per bucket;
 * payloads stay in a parallel ``chains`` table: one persistent Python
   list per slot holding every event coalesced at that exact
-  ``(time, priority)`` in seq (append) order, so the pooled-``Timeout``
-  and coalesced-chain semantics of the object calendar carry over
-  unchanged;
+  ``(time, priority)`` in seq (append) order — the chain is the
+  ``(time, priority, seq)`` total order materialised, and the slot's
+  ``es`` (its first member's seq) is its sort tiebreaker;
 * slots are recycled through a free-list stack, so a steady-state run
   allocates no per-entry tuples or lists at all.
 
-The two operations the object calendar pays for in pure Python become
-vector kernels here:
+The two maintenance operations are vector kernels:
 
 * a dirty bucket re-sort gathers the chain's slot indices and
   ``np.lexsort``\\ s them by ``(time, priority, seq)`` (falling back to a
@@ -31,15 +29,12 @@ vector kernels here:
 * a geometry rebuild recomputes every live slot's virtual bucket number,
   ``np.lexsort``\\ s by ``(bucket, time, priority, seq)`` and scatters the
   ``nxt``/``bhead`` links in one pass — and because the within-bucket
-  order is already ascending, rebuilt buckets come out *clean*, where
-  the object calendar leaves every bucket dirty for a later
-  ``list.sort``.
+  order is already ascending, rebuilt buckets come out *clean*.
 
 Correctness contract: the dispatch order produced through this core is
-bit-exact with the heap scheduler (the executable spec) and the object
-calendar — asserted by the scheduler-equivalence and hypothesis
-differential tests. Only geometry (bucket count, width) may differ
-between cores; geometry never affects order, only cost.
+bit-exact with the heap scheduler (the executable spec) — asserted by
+the scheduler-equivalence and hypothesis differential tests. Geometry
+(bucket count, width) never affects order, only cost.
 
 The scalar hot paths (push, pop, chain walk) deliberately use
 ``array.array`` element access rather than numpy scalar indexing: a
@@ -63,12 +58,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle is type-only
 
 __all__ = ["ArrayCalendar"]
 
-#: Virtual bucket number for times too large for ``int(t / width)``;
-#: compares after every finite bucket. Same constant as the engine's.
+#: Virtual bucket number for times too large for ``int(t / width)``
+#: (``inf`` schedules); compares after every finite bucket. The float
+#: twin is the branchless overflow guard of the insert paths. The engine
+#: imports these (and ``_NAN``, ``_SORTED_INSERT_MAX``) for its inlined
+#: inserts, so there is one definition of each.
 _FAR_FUTURE = 1 << 62
 _FAR_FUTURE_F = float(_FAR_FUTURE)
 
-#: Initial calendar geometry (matches the object calendar).
+#: Initial calendar geometry. 64 buckets of 1 simulated second hold the
+#: steady monitoring/steal-timer drizzle without a rebuild; both numbers
+#: self-tune (see :meth:`ArrayCalendar.rebuild`).
 _INITIAL_BUCKETS = 64
 _INITIAL_WIDTH = 1.0
 
@@ -80,16 +80,16 @@ _INITIAL_SLOTS = 256
 _LEXSORT_MIN = 16
 
 #: NaN never compares equal, so an invalidated insert cache auto-misses
-#: without a separate "is it valid" branch (engine.py mirrors this).
+#: without a separate "is it valid" branch.
 _NAN = float("nan")
 
 #: Link-walk cap for the sorted insert in :meth:`ArrayCalendar.push_new`.
 #: Keeping buckets *clean* (sorted) at insert time is what lets the
-#: drain skip re-sorts — the object calendar front-appends and pays a
-#: tuple sort per dirtied bucket instead, which is cheap for tuples but
-#: ~6x dearer for gathered slots. Past this many link hops the insert
-#: falls back to a front-push + dirty mark, bounding the worst case
-#: (degenerate buckets are the rebuild trigger's job, not the insert's).
+#: drain skip re-sorts: a dirty-bucket sort over gathered slots costs
+#: ~6x a plain tuple sort, so append-then-sort loses here. Past this
+#: many link hops the insert falls back to a front-push + dirty mark,
+#: bounding the worst case (degenerate buckets are the rebuild
+#: trigger's job, not the insert's).
 _SORTED_INSERT_MAX = 16
 
 
@@ -99,8 +99,8 @@ class ArrayCalendar:
     The environment owns the clock, the seq counter, the tombstone set
     and the timeout pool; this object owns the pending-entry storage and
     the calendar geometry. The drain loop lives in
-    ``Environment._run_array`` (in lockstep with ``_run_calendar``) so
-    the dispatch semantics stay in one reviewable place per scheduler.
+    ``Environment._run_array`` beside ``_run_heap_reference`` so the
+    dispatch semantics of both schedulers stay in one reviewable place.
     """
 
     __slots__ = (
@@ -164,9 +164,10 @@ class ArrayCalendar:
         #: is NaN whenever the cache is invalid (NaN == anything is
         #: False). Invalidated when the cached entry itself is popped —
         #: detected by chain-list identity, so the cache survives pops
-        #: of *other* entries and keeps coalescing (same invariant as
-        #: the object calendar's ``_ins_entry``, which clears on every
-        #: pop); a chain's append order is therefore always seq order.
+        #: of *other* entries and keeps coalescing. It never returns to
+        #: an older entry, so any later entry with an equal (time,
+        #: priority) holds strictly larger seqs and a chain's append
+        #: order is always seq order.
         self.ins_t = _NAN
         self.ins_p = -1
         self.ins_chain: list = []
@@ -209,10 +210,9 @@ class ArrayCalendar:
     # -- inserts -----------------------------------------------------------
     # The engine's insert sites (``Timeout.__init__``, ``timeout()``,
     # ``sleep()``, ``_schedule``) inline the coalesce-cache hit — one
-    # slot check plus a list append — and call the ``*_new`` slow paths
-    # only on a miss, exactly as the object calendar inlines its
-    # ``_ins_entry`` check. ``push``/``push_at_now`` keep the check for
-    # any caller that has not done it.
+    # slot check plus a list append — and call (or inline) the ``*_new``
+    # slow paths only on a miss. ``push``/``push_at_now`` keep the check
+    # for any caller that has not done it.
 
     def push(self, t: float, prio: int, seq: int, event: "Event") -> None:
         """Insert ``event`` at absolute time ``t`` (the generic path)."""
@@ -257,15 +257,14 @@ class ArrayCalendar:
             bhead[i] = s
         else:
             # Keep the bucket clean: place at the sorted position so the
-            # drain never has to re-sort it. A dirty-bucket sort is ~6x
-            # dearer here than the object calendar's tuple sort (gather
-            # + decorate + relink vs ``list.sort`` on ready tuples), so
-            # the trade flips. Timers are mostly created in deadline
-            # order, so first probe the tail — an O(1) append — and only
-            # walk from the head otherwise, capped at _SORTED_INSERT_MAX
-            # hops, past which fall back to a front-push + dirty mark
-            # (long chains are the degenerate rebuild trigger's problem,
-            # not the insert's).
+            # drain never has to re-sort it. A dirty-bucket sort here is
+            # ~6x dearer than ``list.sort`` on ready tuples (gather +
+            # decorate + relink), so sorting at insert wins. Timers are
+            # mostly created in deadline order, so first probe the tail
+            # — an O(1) append — and only walk from the head otherwise,
+            # capped at _SORTED_INSERT_MAX hops, past which fall back to
+            # a front-push + dirty mark (long chains are the degenerate
+            # rebuild trigger's problem, not the insert's).
             btail = self.btail
             tl = btail[i]
             ct = et[tl]
@@ -316,9 +315,7 @@ class ArrayCalendar:
             env._max_queue_len = qsize
             # Grow on *occupied slots*, not events: a long coalesced
             # chain is one entry in one bucket and needs no more
-            # geometry (the object calendar triggers on its event count
-            # here — a historical quirk its twin does not copy; geometry
-            # may differ between cores, order never does).
+            # geometry (geometry only affects cost, never order).
             if qsize > self.grow_at and self.cap - len(free) > self.grow_at:
                 self.need_rebuild = True
 
@@ -335,11 +332,11 @@ class ArrayCalendar:
     ) -> None:
         """Current-instant insert past a coalesce miss.
 
-        Mirrors the object calendar's fast path: these inserts usually
-        land in the bucket the run loop is *draining*, so on a clean
-        bucket the slot is linked at its sorted position directly
-        (O(same-instant peers)) instead of dirty-marking, which would
-        force the drain to break and re-sort per entry.
+        These inserts usually land in the bucket the run loop is
+        *draining*, so on a clean bucket the slot is linked at its
+        sorted position directly (O(same-instant peers)) instead of
+        dirty-marking, which would force the drain to break and re-sort
+        per entry.
         """
         et = self.et
         ep = self.ep
@@ -477,11 +474,10 @@ class ArrayCalendar:
         """Slot of the globally minimal live entry, or -1 if only
         tombstones remain.
 
-        Mirrors ``Environment._find_head``: sorts dirty buckets and
-        discards tombstoned events surfacing at bucket-head chains along
-        the way (recycling pooled ones and freeing emptied slots), so
-        afterwards the returned slot heads its bucket's chain and its
-        chain is live.
+        Sorts dirty buckets and discards tombstoned events surfacing at
+        bucket-head chains along the way (recycling pooled ones and
+        freeing emptied slots), so afterwards the returned slot heads
+        its bucket's chain and its chain is live.
         """
         env = self.env
         tombs = env._tombs
@@ -543,15 +539,15 @@ class ArrayCalendar:
     def rebuild(self) -> None:
         """Re-tune the calendar geometry and re-bucket every live slot.
 
-        Same sizing rules as the object calendar (bucket count tracks
-        the live entry count with load factor in ~[1/8, 4]; width is
-        ``3 * span / (n - 1)``), but fully vectorized: one boolean mask
-        finds the live slots, one ``lexsort`` by
+        Bucket count tracks the live entry count with load factor in
+        ~[1/8, 4]; width is estimated from the spread of queued times as
+        ``3 * span / (n - 1)`` (~3 mean gaps per bucket, the classic
+        calendar-queue rule). Fully vectorized: one boolean mask finds
+        the live slots, one ``lexsort`` by
         ``(bucket, time, priority, seq)`` orders them, and the
         ``nxt``/``bhead`` links are scattered in bulk. Because the
         within-bucket order is already ascending, every rebuilt bucket
-        comes out *clean* — the object calendar leaves all buckets dirty
-        and re-sorts each on first visit.
+        comes out *clean*.
         """
         env = self.env
         self.need_rebuild = False

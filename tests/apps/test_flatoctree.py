@@ -105,11 +105,15 @@ def test_accelerations_match_reference_small(theta, bucket):
 def test_accelerations_match_reference_2048():
     pos, mass = _bodies(2048)
     flat = build_flat_octree(pos, mass, 16)
+    # the root holds every body, each exactly once
+    assert int(flat.counts[0]) == 2048
+    assert sorted(flat.bodies.tolist()) == list(range(2048))
     _, ref = _traverse(flat.to_object_tree(), pos, mass, 0.5, 1e-3, True)
     acc, counts = bh_accelerations(flat, pos, mass, 0.5)
     assert _acc_rel_err(acc, ref) <= 1e-12
     ref_counts, _ = _traverse(flat.to_object_tree(), pos, mass, 0.5, 1e-3, False)
     assert np.array_equal(counts, ref_counts)
+    assert counts.min() >= 1
 
 
 @settings(max_examples=30, deadline=None)

@@ -4,7 +4,7 @@ import numpy as np
 from dataclasses import replace
 
 from repro.apps.dctree import SyntheticIterativeApp, balanced_tree
-from repro.config import RunConfig
+from repro.config import SCHEDULERS, RunConfig
 from repro.experiments import run_scenario
 from repro.experiments.scenarios import ScenarioSpec, scaled_das2
 from repro.simgrid.events import CpuLoadEvent
@@ -70,17 +70,19 @@ def test_events_replay_identically():
 
 def test_all_schedulers_produce_identical_runs():
     """A full adaptive scenario is *observationally identical* under the
-    typed-array core, the object calendar, and the retained binary-heap
-    reference: same event order implies the same stealing, monitoring,
-    and adaptation history, down to the floating-point accounting splits
-    the goldens record."""
+    typed-array calendar core and the retained binary-heap reference:
+    same event order implies the same stealing, monitoring, and
+    adaptation history, down to the floating-point accounting splits the
+    goldens record."""
     spec = tiny_spec(
         events=(CpuLoadEvent(time=20.0, load=5.0, cluster="uva"),),
     )
     heap = run_scenario(
         spec, "adapt", seed=5, config=RunConfig(scheduler="heap")
     )
-    for scheduler in ("array", "calendar"):
+    for scheduler in SCHEDULERS:
+        if scheduler == "heap":
+            continue
         cal = run_scenario(
             spec, "adapt", seed=5, config=RunConfig(scheduler=scheduler)
         )

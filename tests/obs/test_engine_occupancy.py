@@ -13,7 +13,7 @@ import pytest
 from repro.obs import Observability
 from repro.simgrid.engine import Environment
 
-SCHEDULERS = ("array", "calendar", "heap")
+SCHEDULERS = Environment.SCHEDULERS
 
 
 def _gauge(obs, name):
@@ -48,7 +48,7 @@ def test_occupancy_counters_flow_through_obs(scheduler):
     assert _gauge(obs, "engine_events_processed") == 7.0
 
 
-@pytest.mark.parametrize("scheduler", ("array", "calendar"))
+@pytest.mark.parametrize("scheduler", ["array"])  # the heap never rebuilds
 def test_rebuild_counter_tracks_recalibrations(scheduler):
     env = Environment(scheduler=scheduler)
     obs = Observability.enabled()

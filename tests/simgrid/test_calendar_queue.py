@@ -1,17 +1,15 @@
 """Calendar-queue scheduler tests: heap equivalence, lazy cancellation,
 coalesced chains, preemption, and self-resizing.
 
-Both calendar implementations — the object-tuple calendar
-(``scheduler="calendar"``) and the typed-array core
-(``scheduler="array"``, the default) — must be *observationally
-identical* to the retained binary-heap reference
-(``Environment(scheduler="heap")``): same events in the same
+The calendar queue over typed-array storage (``scheduler="array"``, the
+default) must be *observationally identical* to the retained binary-heap
+reference (``Environment(scheduler="heap")``): same events in the same
 ``(time, priority, seq)`` total order, same event counts, same results —
 the golden scenario summaries depend on it. These tests drive every
-scheduler through the corners the calendar implementations actually
-have: within-bucket chains of same-deadline events, urgent inserts
-landing mid-chain, tombstoned (cancelled) timeouts surfacing at pop,
-free-list reuse after a cancellation, and the bucket-array rebuild.
+scheduler through the corners the calendar actually has: within-bucket
+chains of same-deadline events, urgent inserts landing mid-chain,
+tombstoned (cancelled) timeouts surfacing at pop, free-list reuse after
+a cancellation, and the bucket-array rebuild.
 """
 
 import numpy as np
@@ -20,9 +18,7 @@ import pytest
 from repro.simgrid.engine import Environment, Interrupt, SimulationError
 from repro.simgrid.queues import Store
 
-SCHEDULERS = ("heap", "calendar", "array")
-#: the two calendar implementations (share geometry stats keys).
-CALENDARS = ("calendar", "array")
+SCHEDULERS = Environment.SCHEDULERS
 
 
 # -- trace equivalence --------------------------------------------------------
@@ -73,9 +69,7 @@ def _jittery_trace(scheduler: str) -> tuple[list, int, float]:
 
 
 def test_calendars_match_heap_reference_trace():
-    heap = _jittery_trace("heap")
-    assert _jittery_trace("calendar") == heap
-    assert _jittery_trace("array") == heap
+    assert _jittery_trace("array") == _jittery_trace("heap")
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -113,7 +107,6 @@ def test_urgent_insert_preempts_same_instant_chain():
 
     heap = run("heap")
     assert heap == ["starter", "child-start", "other"]
-    assert run("calendar") == heap
     assert run("array") == heap
 
 
@@ -261,10 +254,10 @@ def test_step_dispatches_in_order(scheduler):
         env.step()
 
 
-# -- calendar internals -------------------------------------------------------
+# -- calendar internals (the heap has no geometry gauges) ---------------------
 
 
-@pytest.mark.parametrize("scheduler", CALENDARS)
+@pytest.mark.parametrize("scheduler", ["array"])
 def test_same_deadline_inserts_coalesce_into_one_entry(scheduler):
     env = Environment(scheduler=scheduler)
     for _ in range(100):
@@ -275,7 +268,7 @@ def test_same_deadline_inserts_coalesce_into_one_entry(scheduler):
     assert stats["calendar_entries"] == 1
 
 
-@pytest.mark.parametrize("scheduler", CALENDARS)
+@pytest.mark.parametrize("scheduler", ["array"])
 def test_bucket_array_rebuilds_under_load(scheduler):
     env = Environment(scheduler=scheduler)
     assert env.stats()["calendar_buckets"] == 64
@@ -303,9 +296,9 @@ def test_bucket_array_rebuilds_under_load(scheduler):
 
 def test_scheduler_argument_validation():
     # Unknown names raise ValueError naming every valid option, so a
-    # typo'd scheduler= is self-diagnosing (mirrors RunConfig).
-    with pytest.raises(ValueError) as exc:
-        Environment(scheduler="bogus")
-    for name in SCHEDULERS:
-        assert name in str(exc.value)
-    assert "bogus" in str(exc.value)
+    # typo'd scheduler= is self-diagnosing (mirrors RunConfig). The
+    # retired object-tuple calendar is an unknown name like any other.
+    for bad in ("bogus", "calendar"):
+        with pytest.raises(ValueError) as exc:
+            Environment(scheduler=bad)
+        assert f"one of {('array', 'heap')}, got {bad!r}" in str(exc.value)

@@ -399,15 +399,20 @@ def test_step_on_empty_queue_raises():
 
 
 def test_event_count_increments():
+    # Same-deadline timeouts from concurrent processes coalesce in the
+    # calendar queue, but each still counts as its own event.
     env = Environment()
 
-    def proc(env):
-        yield env.timeout(1.0)
-        yield env.timeout(1.0)
+    def ticker(env):
+        for _ in range(200):
+            yield env.timeout(1.0)
 
-    env.process(proc(env))
+    for _ in range(5):
+        env.process(ticker(env))
     env.run()
-    assert env.event_count >= 3  # initialize + two timeouts
+    # per process: one Initialize, 200 timeouts, one completion
+    assert env.event_count == 5 * (1 + 200 + 1)
+    assert env.now == 200.0
 
 
 def test_nested_processes_three_deep():

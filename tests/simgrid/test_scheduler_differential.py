@@ -1,21 +1,20 @@
-"""Hypothesis differential testing of the three event schedulers.
+"""Hypothesis differential testing of the event schedulers.
 
 Random op programs — schedule / cancel / coalesced bursts / urgent
 same-instant inserts landing mid-chain / geometry-forcing floods — are
-replayed on ``scheduler="heap"`` (the executable spec),
-``"calendar"`` (the object-tuple calendar) and ``"array"`` (the
-typed-array core, the default). Every replay must produce the identical
-dispatch sequence: same callbacks, same firing times, same event count,
-same final clock. This is the bit-exactness contract the golden scenario
-summaries rest on, probed at the scheduler-operation level instead of
-through whole scenarios.
+replayed on ``scheduler="heap"`` (the executable spec) and ``"array"``
+(the typed-array calendar core, the default). Every replay must produce
+the identical dispatch sequence: same callbacks, same firing times,
+same event count, same final clock. This is the bit-exactness contract
+the golden scenario summaries rest on, probed at the scheduler-operation
+level instead of through whole scenarios.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.simgrid.engine import Environment
 
-SCHEDULERS = ("heap", "calendar", "array")
+SCHEDULERS = Environment.SCHEDULERS
 
 # Delays from a small grid plus awkward floats: exact ties (the coalesced
 # chain paths), sub-width jitter, and spreads that force rebuilds.
@@ -109,8 +108,9 @@ def _replay(scheduler, ops):
 @given(ops=st.lists(_op, min_size=1, max_size=25))
 def test_schedulers_dispatch_identically(ops):
     reference = _replay("heap", ops)
-    for scheduler in ("calendar", "array"):
-        assert _replay(scheduler, ops) == reference
+    for scheduler in SCHEDULERS:
+        if scheduler != "heap":
+            assert _replay(scheduler, ops) == reference
 
 
 @settings(max_examples=15, deadline=None)

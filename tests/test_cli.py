@@ -93,6 +93,23 @@ def test_no_command_rejected():
         cli.main([])
 
 
+@pytest.mark.parametrize(
+    "argv, bad",
+    [
+        (["run", "s1", "--scheduler", "calendar"], "'calendar'"),
+        (["bench"], "'bench'"),
+    ],
+)
+def test_retired_choices_are_usage_errors(argv, bad, capsys):
+    # The object-tuple calendar scheduler and the in-package timing
+    # harness verb are gone: both are argparse invalid-choice errors
+    # (exit status 2).
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"invalid choice: {bad}" in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------- profile
 def test_profile_prints_attribution_table(tiny_scenario, capsys):
     assert cli.main(["profile", "tiny"]) == 0

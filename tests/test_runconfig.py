@@ -18,6 +18,7 @@ from repro.harness import Harness, build_grid
 from repro.obs import Observability
 from repro.satin.stealing import RandomStealing
 from repro.satin.worker import WorkerConfig
+from repro.simgrid.engine import Environment
 
 
 # -- validation -------------------------------------------------------------
@@ -31,11 +32,14 @@ def test_defaults_are_streaming_array():
 
 def test_bad_scheduler_error_lists_valid_options():
     # The ValueError must name every valid scheduler so a typo'd config
-    # is self-diagnosing (same contract as Environment, below).
-    with pytest.raises(ValueError) as exc:
-        RunConfig(scheduler="fifo")
-    for name in SCHEDULERS:
-        assert name in str(exc.value)
+    # is self-diagnosing (same contract as Environment). The retired
+    # object-tuple calendar is rejected like any other unknown name.
+    # One definition: the config re-exports the engine's own tuple.
+    assert SCHEDULERS is Environment.SCHEDULERS == ("array", "heap")
+    for bad in ("fifo", "calendar"):
+        with pytest.raises(ValueError) as exc:
+            RunConfig(scheduler=bad)
+        assert f"one of {('array', 'heap')}, got {bad!r}" in str(exc.value)
 
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
@@ -49,8 +53,9 @@ def test_valid_coordinator_modes(coordinator):
 
 
 def test_bad_scheduler_rejected():
-    with pytest.raises(ValueError, match="scheduler"):
-        RunConfig(scheduler="fifo")
+    for bad in ("fifo", "calendar"):
+        with pytest.raises(ValueError, match="scheduler"):
+            RunConfig(scheduler=bad)
 
 
 def test_bad_coordinator_rejected():
