@@ -210,7 +210,10 @@ class GridState:
     def _ensure_capacity(self, needed: int) -> None:
         if needed <= self._cap:
             return
-        new_cap = max(needed, self._cap + self.GROWTH, self._cap * 2)
+        # the capacity one-slot-at-a-time growth would reach, in one resize
+        new_cap = self._cap
+        while new_cap < needed:
+            new_cap = max(new_cap + self.GROWTH, new_cap * 2)
         for field in FIELDS:
             arr = getattr(self, "_" + field)
             grown = np.zeros(new_cap, dtype=float)
@@ -243,6 +246,29 @@ class GridState:
         self._ensure_capacity(self.registry.capacity)
         self._ccode[slot] = self.cluster_code(cluster)
         return slot
+
+    def ensure_many(self, names: Sequence[str], cluster: str) -> np.ndarray:
+        """Slots for ``names`` (all in ``cluster``) — ``ensure`` per name.
+
+        Registered names are read straight from the registry; only the
+        unregistered ones are acquired, in list order, so slot numbers,
+        epochs and the acquire/reuse counters come out exactly as the
+        per-name calls would leave them. Arrays grow (at most) once.
+        """
+        registry = self.registry
+        slots = list(map(registry._slot_of.get, names))
+        if not slots:
+            return np.empty(0, dtype=np.intp)
+        if None in slots:
+            acquire = registry.acquire
+            slots = [
+                acquire(name) if slot is None else slot
+                for name, slot in zip(names, slots)
+            ]
+            self._ensure_capacity(registry.capacity)
+        out = np.array(slots, dtype=np.intp)
+        self._ccode[out] = self.cluster_code(cluster)
+        return out
 
     def release(self, name: str) -> Optional[int]:
         """Free ``name``'s slot (eviction/leave); epochs make reuse safe."""
@@ -321,9 +347,8 @@ class GridState:
     # ----------------------------------------------------------------- fold
     def slots_for(self, order: Sequence[str]) -> np.ndarray:
         """Slot indices for ``order`` (all names must be registered)."""
-        slot_of = self.registry._slot_of
-        return np.fromiter(
-            (slot_of[n] for n in order), dtype=np.intp, count=len(order)
+        return np.array(
+            list(map(self.registry._slot_of.__getitem__, order)), dtype=np.intp
         )
 
     def fold(self, order: Sequence[str]) -> GridFold:
@@ -363,7 +388,7 @@ class GridState:
         return GridFold(
             order=order,
             clusters=clusters,
-            cluster_of=[names[c] for c in codes],
+            cluster_of=list(map(names.__getitem__, codes.tolist())),
             codes=codes,
             speed=speed,
             overhead=overhead,

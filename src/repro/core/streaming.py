@@ -128,7 +128,9 @@ class TopKBadness:
             # secondary key: name ascending (ASCII node names, so numpy's
             # unicode ordering and Python's str ordering agree)
             order = np.lexsort((np.asarray(names), neg))
-            self._heap = [(float(neg[i]), names[i]) for i in order]
+            self._heap = list(
+                zip(neg[order].tolist(), map(names.__getitem__, order.tolist()))
+            )
 
     def _compact(self) -> None:
         self._heap = [(-b, n) for n, b in self._badness.items()]
@@ -244,7 +246,7 @@ class StreamingDecisionState:
         otherwise applies only the changed slots.
         """
         if self._structure_dirty or self._version != membership_version:
-            known = self.grid.registry
+            known = self.grid.registry._slot_of
             self._refold([n for n in alive_names() if n in known])
             self._version = membership_version
         elif self._dirty:

@@ -256,7 +256,9 @@ class _ShardPool:
     :meth:`exchange` returns payloads in canonical cluster-index order.
     """
 
-    def __init__(self, spec: LargeGridSpec, seed: int, shards: int) -> None:
+    def __init__(
+        self, spec: LargeGridSpec, grid: GridSpec, seed: int, shards: int
+    ) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
         shards = min(shards, spec.n_clusters)
@@ -264,24 +266,30 @@ class _ShardPool:
         self._conns: list = []
         self._sims: list[ClusterSim] = []
         if shards == 1:
-            grid = spec.grid()
             self._sims = [
                 ClusterSim(spec, grid, ci, seed) for ci in range(spec.n_clusters)
             ]
             return
         ctx = multiprocessing.get_context("spawn")
-        for s in range(shards):
-            indices = list(range(s, spec.n_clusters, shards))
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_shard_main,
-                args=(child_conn, spec, seed, indices),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
+        try:
+            for s in range(shards):
+                indices = list(range(s, spec.n_clusters, shards))
+                parent_conn, child_conn = ctx.Pipe()
+                self._conns.append(parent_conn)
+                try:
+                    proc = ctx.Process(
+                        target=_shard_main,
+                        args=(child_conn, spec, seed, indices),
+                        daemon=True,
+                    )
+                    proc.start()
+                finally:
+                    child_conn.close()
+                self._procs.append(proc)
+        except BaseException:
+            # a failed start must not leak the shards already running
+            self.close()
+            raise
 
     def exchange(self, commands: Commands) -> list[ShardPayload]:
         if self._sims:
@@ -335,7 +343,7 @@ def run_large_grid(
     period_rows: list[dict] = []
     commands: Commands = {}
 
-    shard_pool = _ShardPool(spec, seed, shards)
+    shard_pool = _ShardPool(spec, grid_spec, seed, shards)
     try:
         for p in range(spec.periods):
             payloads = shard_pool.exchange(commands)
@@ -348,10 +356,8 @@ def run_large_grid(
                 if payload.names != cached_names.get(payload.cluster):
                     # membership changed: (re)bind names to grid slots
                     cached_names[payload.cluster] = payload.names
-                    cached_slots[payload.cluster] = np.fromiter(
-                        (grid.ensure(n, payload.cluster) for n in payload.names),
-                        dtype=np.intp,
-                        count=len(payload.names),
+                    cached_slots[payload.cluster] = grid.ensure_many(
+                        payload.names, payload.cluster
                     )
                 grid.ingest_arrays(
                     cached_slots[payload.cluster],

@@ -25,6 +25,7 @@ normalised to the fastest processor).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterator, Optional
 
 __all__ = [
@@ -194,6 +195,7 @@ def das2_like_grid(
     return GridSpec(clusters=tuple(clusters))
 
 
+@lru_cache(maxsize=4, typed=True)
 def synthetic_grid(
     n_clusters: int,
     nodes_per_cluster: int,
@@ -215,6 +217,12 @@ def synthetic_grid(
     (``base_speed + k·speed_step`` for ``k = (cluster·7 + node) mod
     steps``) so the grid is heterogeneous without any RNG — the same
     topology regardless of seed or shard placement.
+
+    Memoised (a few most recent argument sets, ``typed`` so ``1`` and
+    ``1.0`` stay distinct): the grid is a pure function of its hashable
+    arguments and fully frozen, so equal calls share one object. A 10^4-
+    node grid costs tens of milliseconds to build; the large-grid
+    scenario and its shards ask for the same one every run.
     """
     if n_clusters < 1 or nodes_per_cluster < 1:
         raise ValueError("need at least one cluster and one node per cluster")

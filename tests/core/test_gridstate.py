@@ -133,6 +133,77 @@ def test_ingest_validation():
         )
 
 
+# -- bulk slot binding ---------------------------------------------------------
+
+#: enough names that one bind can push the arrays through several growths
+BULK_NODES = {c: tuple(f"{c}/n{i:03d}" for i in range(100)) for c in CLUSTERS}
+ALL_BULK = tuple(n for names in BULK_NODES.values() for n in names)
+
+
+def _batch(cluster: str):
+    """A bind batch: a block of members (a cluster's first report or a
+    mass join) or a scattered pick with repeats, which may name nodes
+    bound under another cluster (their cluster code is rewritten)."""
+    nodes = BULK_NODES[cluster]
+    block = st.builds(
+        lambda start, count: list(nodes[start:start + count]),
+        st.integers(0, 99), st.integers(0, 100),
+    )
+    return st.one_of(block, st.lists(st.sampled_from(ALL_BULK), max_size=20))
+
+
+bulk_op = st.one_of(
+    # (re)join a batch: fresh names, registered ones, and released ones
+    # coming back, possibly repeated within the batch
+    st.sampled_from(CLUSTERS).flatmap(
+        lambda c: st.tuples(st.just("bind"), st.just(c), _batch(c))
+    ),
+    st.tuples(st.sampled_from(["release", "forget"]), st.just(""),
+              st.lists(st.sampled_from(ALL_BULK), min_size=1, max_size=20)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(ops=st.lists(bulk_op, min_size=1, max_size=25))
+def test_ensure_many_matches_per_name_ensure(ops):
+    """``ensure_many`` leaves exactly the state per-name ``ensure`` does:
+    same slots, counters, epochs, cluster codes and array capacity."""
+    from repro.core.streaming import StreamingDecisionState
+
+    bulk, ref = StreamingDecisionState(), StreamingDecisionState()
+    for op, cluster, names in ops:
+        if op == "bind":
+            got = bulk.grid.ensure_many(names, cluster)
+            want = [ref.grid.ensure(n, cluster) for n in names]
+            assert got.dtype == np.intp
+            assert got.tolist() == want
+        else:
+            for name in names:
+                if op == "release":
+                    bulk.grid.release(name)
+                    ref.grid.release(name)
+                else:
+                    bulk.forget(name)
+                    ref.forget(name)
+    a, b = bulk.grid, ref.grid
+    assert a.registry.acquires == b.registry.acquires
+    assert a.registry.reuses == b.registry.reuses
+    assert a.registry.capacity == b.registry.capacity
+    assert a.registry._epoch == b.registry._epoch
+    assert a.registry._slot_of == b.registry._slot_of
+    assert a.registry._free == b.registry._free
+    assert a._cap == b._cap
+    assert a._cluster_names == b._cluster_names
+    np.testing.assert_array_equal(a._ccode, b._ccode)
+
+
+def test_ensure_many_empty_binds_nothing():
+    g = GridState()
+    out = g.ensure_many([], "alpha")
+    assert out.dtype == np.intp and out.size == 0
+    assert g.registry.acquires == 0 and g._cluster_names == []
+
+
 # -- fold bit-identity (the tentpole property) -------------------------------
 
 #: one step of grid history: (op, node, speed, busy_frac, ic_frac)

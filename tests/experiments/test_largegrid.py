@@ -7,7 +7,10 @@ cluster, independent of placement), same fold order (canonical cluster
 index), same decisions.
 """
 
+import dataclasses
 import json
+import multiprocessing
+import multiprocessing.context
 
 import pytest
 
@@ -20,6 +23,7 @@ from repro.experiments.largegrid import (
     run_large_grid,
     substrate,
 )
+from repro.simgrid.resources import synthetic_grid
 
 #: a scaled-down spec so each test run stays well under a second.
 SMALL = LargeGridSpec(
@@ -107,6 +111,51 @@ def test_cluster_rng_is_placement_independent():
     assert pa.speed.tobytes() == pb.speed.tobytes()
     assert pa.busy.tobytes() == pb.busy.tobytes()
     assert pa.comm_inter.tobytes() == pb.comm_inter.tobytes()
+
+
+def test_failed_shard_start_stops_started_shards(monkeypatch):
+    """If a later shard cannot start, the shards already running are shut
+    down and the error reaches the caller."""
+    started = []
+    real_start = multiprocessing.context.SpawnProcess.start
+
+    def start(self):
+        if started:
+            raise RuntimeError("second shard refused to start")
+        real_start(self)
+        started.append(self)
+
+    monkeypatch.setattr(multiprocessing.context.SpawnProcess, "start", start)
+    with pytest.raises(RuntimeError, match="second shard"):
+        run_large_grid(SMALL, seed=0, shards=4)
+    assert len(started) == 1
+    assert not started[0].is_alive()
+    assert started[0].exitcode == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_synthetic_grid_is_memoised_and_frozen():
+    a = synthetic_grid(3, 4)
+    assert synthetic_grid(3, 4) is a
+    other = synthetic_grid(3, 5)
+    assert other is not a and other != a
+    # typed: an int speed is not served the float-speed grid
+    float_speed = synthetic_grid(3, 4, base_speed=1.0)
+    assert synthetic_grid(3, 4, base_speed=1.0) is float_speed
+    assert synthetic_grid(3, 4, base_speed=1) is not float_speed
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.backbone_bandwidth = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.clusters[0].name = "x"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.clusters[0].nodes[0].base_speed = 9.0
+    assert isinstance(a.clusters, tuple) and isinstance(a.clusters[0].nodes, tuple)
+
+
+def test_run_unchanged_by_grid_memo():
+    warm = canonical(run_large_grid(SMALL, seed=3))
+    synthetic_grid.cache_clear()
+    assert canonical(run_large_grid(SMALL, seed=3)) == warm
 
 
 def test_spec_validation():
