@@ -41,7 +41,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .config import COORDINATOR_MODES, SCHEDULERS, RunConfig
+from .config import COORDINATOR_MODES, RunConfig
 from .experiments import (
     SCENARIOS,
     SUBSTRATES,
@@ -113,12 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards", type=int, default=1, metavar="N",
         help="partition a substrate scenario's clusters across N processes "
              "(large_grid only); results are byte-identical to --shards 1",
-    )
-    p_run.add_argument(
-        "--scheduler", choices=SCHEDULERS, default="array",
-        help="event-queue implementation: the typed-array calendar "
-             "(default) or the binary-heap spec; both dispatch "
-             "bit-identically",
     )
 
     p_cmp = sub.add_parser(
@@ -350,12 +344,6 @@ def _cmd_list() -> int:
 
 def _cmd_run_substrate(args: argparse.Namespace, sids: list[str]) -> int:
     """Run substrate scenarios (large_grid): no variants, shardable."""
-    if args.scheduler != "array":
-        raise SystemExit(
-            "--scheduler applies to classic scenarios only: substrate "
-            "scenarios drive the SoA monitoring pipeline directly and "
-            "never enter the discrete-event engine"
-        )
     payloads = []
     for sid in sids:
         summary = run_large_grid(
@@ -393,7 +381,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         n_jobs=args.jobs,
         config=RunConfig(
             coordinator=args.coordinator,
-            scheduler=args.scheduler,
             shards=args.shards,
         ),
     )

@@ -1,8 +1,8 @@
 """The one configuration surface for building and running simulations.
 
 Historically every entry point grew its own keyword surface —
-``Harness.build`` took ``config=``/``policy=``/``obs=``/``profile=``/
-``scheduler=`` loose kwargs, ``run_scenario`` took a different subset,
+``Harness.build`` took ``config=``/``policy=``/``obs=``/``profile=``
+loose kwargs, ``run_scenario`` took a different subset,
 and the profiler a third — so adding a knob meant threading it through
 three signatures and the façade drifted. :class:`RunConfig` replaces the
 scattered keywords: one frozen dataclass accepted (as ``config=``) by
@@ -31,20 +31,13 @@ import weakref
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from .simgrid.engine import Environment
-
 __all__ = [
     "RunConfig",
     "COORDINATOR_MODES",
-    "SCHEDULERS",
     "canonical_data",
     "canonical_json",
 ]
 
-#: engine event-queue implementations (both produce byte-identical runs):
-#: "array" (default; the calendar queue over typed-array storage) and
-#: "heap" (the binary-heap executable spec). The engine's own tuple.
-SCHEDULERS = Environment.SCHEDULERS
 #: coordinator decision paths: the incremental streaming pipeline
 #: (production default) and the batch snapshot re-fold retained as the
 #: executable spec; both produce identical decisions and goldens.
@@ -212,9 +205,6 @@ class RunConfig:
     ships it to spawned worker processes.
     """
 
-    #: engine event queue: "array" (default, typed-array calendar core)
-    #: or the "heap" reference (one of :data:`SCHEDULERS`).
-    scheduler: str = "array"
     #: coordinator decision path: "streaming" (incremental WAE + top-k
     #: badness, O(changed) per period) or "batch" (full snapshot re-fold,
     #: the executable spec). Policies that override ``decide`` (e.g. the
@@ -252,10 +242,6 @@ class RunConfig:
     sinks: tuple = field(default=())
 
     def __post_init__(self) -> None:
-        if self.scheduler not in SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {SCHEDULERS}, got {self.scheduler!r}"
-            )
         if self.coordinator not in COORDINATOR_MODES:
             raise ValueError(
                 f"coordinator must be one of {COORDINATOR_MODES}, "

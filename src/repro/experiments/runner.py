@@ -117,7 +117,6 @@ def run_scenario(
     *,
     config: Optional[RunConfig] = None,
     obs: Optional[Observability] = None,
-    scheduler: Optional[str] = None,
 ) -> RunResult:
     """Execute one scenario under one variant; returns the measurements.
 
@@ -125,34 +124,24 @@ def run_scenario(
     stack is wired: pass an enabled :class:`~repro.obs.Observability` via
     ``RunConfig(obs=...)`` to capture the run's full event stream and
     metrics (``repro trace`` / ``repro metrics`` do; by default telemetry
-    is disabled and costs nothing), ``RunConfig(scheduler=...)`` to pick
-    the event queue implementation, ``RunConfig(coordinator="batch")``
+    is disabled and costs nothing), ``RunConfig(coordinator="batch")``
     for the batch decision path. Fields the scenario itself determines
     (worker config, crash detection delay) default from ``spec`` and
     ``variant`` unless the config overrides them.
 
-    The loose ``obs=``/``scheduler=`` keywords are deprecated shims for
-    the same fields.
+    The loose ``obs=`` keyword is a deprecated shim for the same field.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if obs is not None or scheduler is not None:
+    if obs is not None:
         if config is not None:
-            raise TypeError(
-                "pass obs/scheduler inside RunConfig, not as loose keywords"
-            )
+            raise TypeError("pass obs inside RunConfig, not as a loose keyword")
         warnings.warn(
-            "run_scenario(obs=..., scheduler=...) is deprecated; pass "
-            "config=RunConfig(obs=..., scheduler=...)",
+            "run_scenario(obs=...) is deprecated; pass config=RunConfig(obs=...)",
             DeprecationWarning,
             stacklevel=2,
         )
-        overrides = {}
-        if obs is not None:
-            overrides["obs"] = obs
-        if scheduler is not None:
-            overrides["scheduler"] = scheduler
-        config = RunConfig(**overrides)
+        config = RunConfig(obs=obs)
     cfg = config if config is not None else RunConfig()
 
     harness = Harness.build(

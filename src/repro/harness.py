@@ -93,7 +93,6 @@ class Harness:
         trace: Optional[Trace] = None,
         obs: Optional[Observability] = None,
         profile: Optional[bool] = None,
-        scheduler: Optional[str] = None,
     ) -> "Harness":
         """Assemble a fresh, fully wired stack for ``spec``.
 
@@ -120,9 +119,8 @@ class Harness:
             trace=trace,
             obs=obs,
             profile=profile,
-            scheduler=scheduler,
         )
-        env = Environment(scheduler=run.scheduler)
+        env = Environment()
         network = Network(env, spec)
         registry = Registry(
             env,
@@ -166,7 +164,6 @@ _LEGACY_FIELDS = {
     "trace": "trace",
     "obs": "obs",
     "profile": "profile",
-    "scheduler": "scheduler",
 }
 
 

@@ -23,31 +23,15 @@ yield-timeout-resume cycle is aggressively optimized while keeping the
 ``(time, priority, seq)`` total order bit-for-bit identical to the
 straightforward implementation:
 
-* **calendar-queue scheduler** (default, ``scheduler="array"``): the
-  pending-event set lives in an array of time buckets of self-tuned
-  width, indexed by the virtual bucket number ``v = int(time / width)``.
-  The run loop walks a cursor over the bucket array and drains each
-  bucket's due entries in ``(time, priority, seq)`` order, so the pop
-  order is exactly the heap's. Bucket count and width recalibrate from
-  the live entry-time spread when the load factor or a degenerate bucket
-  says the current geometry is wrong. Storage is struct-of-arrays
-  (:class:`repro.simgrid.eventcore.ArrayCalendar`): entries are slots in
-  flat ``float64``/``int64`` arrays chained into buckets by intrusive
-  index links, payload chains live in a parallel slot table, and the two
-  pure-Python maintenance costs — dirty-bucket re-sorts and geometry
-  rebuilds — are numpy ``lexsort`` kernels. See the "Event scheduler"
-  section of ``docs/performance.md`` for the sizing rules and the
-  determinism argument.
-* **coalesced deadlines**: events sharing an exact ``(time, priority)``
-  join one queued entry's chain for the cost of a list append; a chain
-  fires in append order, which is seq order.
+* **one binary heap**: pending events are ``(time, priority, seq,
+  event)`` tuples in a ``heapq`` list, so the pop order *is* the total
+  order, compared in C. (Calendar queues over object tuples and over
+  typed arrays were tried and retired: with a pending set of ~40 events
+  the heap was faster end to end; see the "Event queue" section of
+  ``docs/performance.md``.)
 * **lazy cancellation**: :meth:`Timeout.cancel` tombstones the event
-  instead of searching the queue; the loops skip (and, for pooled
-  timeouts, recycle) tombstoned entries when they surface at pop time.
-* **heap reference**: the original binary-heap loop is retained behind
-  ``Environment(scheduler="heap")`` as
-  :meth:`Environment._run_heap_reference`, the executable spec; tests
-  assert both schedulers produce identical runs.
+  instead of searching the queue; the loop skips (and, for pooled
+  timeouts, recycles) tombstoned entries when they surface at pop time.
 * **single-callback slot**: almost every event has exactly one waiter (the
   process that yielded it), so the first callback lives in a dedicated
   ``_cb1`` slot and the overflow list ``_cbs`` is only allocated for the
@@ -60,7 +44,7 @@ straightforward implementation:
   Callers must yield the returned event immediately and must not retain it
   (the public :meth:`Environment.timeout` stays allocation-per-call and is
   always safe to store).
-* **inlined run loops**: :meth:`Environment.run` drives a loop with cached
+* **inlined run loop**: :meth:`Environment.run` drives a loop with cached
   bindings and local variables instead of calling :meth:`Environment.step`
   per event; ``step`` remains the single-step reference implementation
   with identical semantics.
@@ -81,14 +65,6 @@ from __future__ import annotations
 
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
-
-from .eventcore import (
-    _FAR_FUTURE,
-    _FAR_FUTURE_F,
-    _NAN,
-    _SORTED_INSERT_MAX,
-    ArrayCalendar,
-)
 
 __all__ = [
     "Environment",
@@ -115,10 +91,6 @@ _heappop = heapq.heappop
 #: Sentinel for "no value yet" (module-level: the run loops test it on
 #: every resume, and a global load is cheaper than two attribute loads).
 _PENDING = object()
-
-#: A sorted bucket this long means the width is far too coarse (many
-#: distinct times share a bucket) — trigger a recalibration.
-_DEGENERATE_BUCKET = 32
 
 
 class SimulationError(Exception):
@@ -297,17 +269,6 @@ class Timeout(Event):
         seq = env._seq
         env._seq = seq + 1
         t = env.now + delay
-        core = env._core
-        if core is not None:
-            # array core (the default): the coalesce-cache hit is inlined
-            # (two scalar compares + a list append); bucketing and the
-            # rebuild trigger live in ArrayCalendar.push_new.
-            if core.ins_t == t and core.ins_p == NORMAL:
-                core.ins_chain.append(self)
-                core.qsize += 1
-            else:
-                core.push_new(t, NORMAL, seq, self)
-            return
         q = env._queue
         _heappush(q, (t, NORMAL, seq, self))
         if len(q) > env._max_queue_len:
@@ -578,33 +539,20 @@ def AllOf(env: "Environment", events: Iterable[Event]) -> Condition:
 
 
 class Environment:
-    """The simulation environment: clock + event queue + scheduler.
+    """The simulation environment: clock + event queue.
 
-    ``scheduler`` selects the pending-event structure: ``"array"``
-    (default — the calendar queue over typed-array storage,
-    :class:`repro.simgrid.eventcore.ArrayCalendar`) or ``"heap"`` (the
-    original binary-heap loop, the executable spec). Both produce
-    identical event orders, asserted by the equivalence and
-    differential tests.
+    Pending events live in one binary heap of ``(time, priority, seq,
+    event)`` entries; the ``seq`` tiebreaker makes the pop order a total
+    order, so a seeded run replays identically.
     """
 
-    #: valid ``scheduler=`` names, in default-first order (the one
-    #: definition: ``repro.config.SCHEDULERS`` is this tuple).
-    SCHEDULERS = ("array", "heap")
-
-    def __init__(self, initial_time: float = 0.0, scheduler: str = "array") -> None:
-        if scheduler not in Environment.SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {Environment.SCHEDULERS}, "
-                f"got {scheduler!r}"
-            )
+    def __init__(self, initial_time: float = 0.0) -> None:
         #: current simulated time. A plain attribute (not a property): it is
         #: read on every wait and accounting call across the stack, and the
         #: attribute-read saving is measurable. Only the event loop should
         #: write it.
         self.now = float(initial_time)
-        self.scheduler = scheduler
-        self._use_array = scheduler == "array"
+        self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0  # next (time, priority, seq) tiebreaker; int, not itertools.count
         self._active: Optional[Process] = None
         self._event_count = 0
@@ -622,14 +570,6 @@ class Environment:
         #: whenever :meth:`step` advances the clock. Empty by default so
         #: the hot path pays one truthiness test (profiling layers attach).
         self._clock_listeners: list[Callable[[float, float], None]] = []
-        if self._use_array:
-            # -- typed-array core (see repro.simgrid.eventcore) -- the
-            # hot factories (Timeout.__init__, timeout, sleep) test
-            # _core and inline the coalesce hit against it directly.
-            self._core: Optional[ArrayCalendar] = ArrayCalendar(self)
-            return
-        self._core = None
-        self._queue: list[tuple[float, int, int, Event]] = []
 
     # -- clock -----------------------------------------------------------
     @property
@@ -649,12 +589,7 @@ class Environment:
 
     def stats(self) -> dict[str, float]:
         """Event-loop statistics, captured by the telemetry layer."""
-        if self._use_array:
-            qlen = self._core.qsize
-            rebuilds = self._core.rebuild_count
-        else:
-            qlen = len(self._queue)
-            rebuilds = 0
+        qlen = len(self._queue)
         pending_tombs = len(self._tombs)
         stats = {
             "events_processed": float(self._event_count),
@@ -669,26 +604,15 @@ class Environment:
             # scheduled: lifetime count of (time, priority, seq) slots
             # issued; cancelled_tombstones: every cancellation observed
             # (already skipped at pop + still pending); live: queued
-            # events that will actually dispatch; rebuilds: calendar
-            # geometry recalibrations (0 for the heap). A live count
-            # that keeps trailing queue_len means tombstones are
-            # accumulating faster than pops surface them.
+            # events that will actually dispatch. A live count that
+            # keeps trailing queue_len means tombstones are accumulating
+            # faster than pops surface them.
             "scheduled": float(self._seq),
             "cancelled_tombstones": float(
                 self._cancelled_skipped + pending_tombs
             ),
             "live": float(qlen - pending_tombs),
-            "rebuilds": float(rebuilds),
         }
-        if self._use_array:
-            # The array core's geometry gauges. calendar_entries counts
-            # chained entries (occupied slots); the gap between
-            # queue_len (events) and it is how many inserts the
-            # coalesced-deadline path absorbed.
-            core = self._core
-            stats["calendar_buckets"] = float(core.mask + 1)
-            stats["calendar_width"] = core.width
-            stats["calendar_entries"] = float(core.entries())
         return stats
 
     def add_clock_listener(self, fn: Callable[[float, float], None]) -> None:
@@ -734,106 +658,6 @@ class Environment:
         seq = self._seq
         self._seq = seq + 1
         when = self.now + delay
-        core = self._core
-        if core is not None:
-            if core.ins_t == when and core.ins_p == NORMAL:
-                core.ins_chain.append(t)
-                core.qsize += 1
-                return t
-            et = core.et
-            ep = core.ep
-            # Inlined ArrayCalendar.push_new (the reference; keep the
-            # two in lockstep) — this is the hottest insert in the
-            # simulator and the call plus argument passing is
-            # measurable.
-            free = core.free
-            if not free:
-                core._grow()
-            s = free.pop()
-            tv = when * core.inv_width
-            v = int(tv) if tv < _FAR_FUTURE_F else _FAR_FUTURE
-            i = v & core.mask
-            es = core.es
-            nxt = core.nxt
-            bhead = core.bhead
-            et[s] = when
-            ep[s] = NORMAL
-            es[s] = seq
-            core.ev[s] = v
-            chain = core.chains[s]
-            chain.append(t)
-            core.ins_t = when
-            core.ins_p = NORMAL
-            core.ins_chain = chain
-            h = bhead[i]
-            if h < 0:
-                nxt[s] = -1
-                bhead[i] = s
-                core.btail[i] = s
-            elif core.bdirty[i]:
-                nxt[s] = h
-                bhead[i] = s
-            else:
-                # Tail probe, then bounded sorted insert: keep the
-                # bucket clean so the drain never re-sorts it (see
-                # ArrayCalendar.push_new).
-                btail = core.btail
-                tl = btail[i]
-                ct = et[tl]
-                if ct < when or (
-                    ct == when
-                    and (
-                        ep[tl] < NORMAL
-                        or (ep[tl] == NORMAL and es[tl] < seq)
-                    )
-                ):
-                    nxt[tl] = s
-                    nxt[s] = -1
-                    btail[i] = s
-                else:
-                    prev = -1
-                    cur = h
-                    hops = _SORTED_INSERT_MAX
-                    placed = False
-                    while cur >= 0:
-                        ct = et[cur]
-                        if ct < when or (
-                            ct == when
-                            and (
-                                ep[cur] < NORMAL
-                                or (ep[cur] == NORMAL and es[cur] < seq)
-                            )
-                        ):
-                            hops -= 1
-                            if hops == 0:
-                                nxt[s] = h
-                                bhead[i] = s
-                                core.bdirty[i] = 1
-                                placed = True
-                                break
-                            prev = cur
-                            cur = nxt[cur]
-                        else:
-                            break
-                    if not placed:
-                        nxt[s] = cur
-                        if prev < 0:
-                            bhead[i] = s
-                        else:
-                            nxt[prev] = s
-            if v < core.cur_v:
-                core.cur_v = v
-            qsize = core.qsize + 1
-            core.qsize = qsize
-            if qsize > self._max_queue_len:
-                self._max_queue_len = qsize
-                # Entries-based grow gate (see ArrayCalendar.push_new).
-                if (
-                    qsize > core.grow_at
-                    and core.cap - len(free) > core.grow_at
-                ):
-                    core.need_rebuild = True
-            return t
         q = self._queue
         _heappush(q, (when, NORMAL, seq, t))
         if len(q) > self._max_queue_len:
@@ -868,104 +692,6 @@ class Environment:
         seq = self._seq
         self._seq = seq + 1
         when = self.now + delay
-        core = self._core
-        if core is not None:
-            if core.ins_t == when and core.ins_p == NORMAL:
-                core.ins_chain.append(t)
-                core.qsize += 1
-                return t
-            et = core.et
-            ep = core.ep
-            # Inlined ArrayCalendar.push_new (the reference; keep the
-            # two in lockstep): same reason and same code as timeout().
-            free = core.free
-            if not free:
-                core._grow()
-            s = free.pop()
-            tv = when * core.inv_width
-            v = int(tv) if tv < _FAR_FUTURE_F else _FAR_FUTURE
-            i = v & core.mask
-            es = core.es
-            nxt = core.nxt
-            bhead = core.bhead
-            et[s] = when
-            ep[s] = NORMAL
-            es[s] = seq
-            core.ev[s] = v
-            chain = core.chains[s]
-            chain.append(t)
-            core.ins_t = when
-            core.ins_p = NORMAL
-            core.ins_chain = chain
-            h = bhead[i]
-            if h < 0:
-                nxt[s] = -1
-                bhead[i] = s
-                core.btail[i] = s
-            elif core.bdirty[i]:
-                nxt[s] = h
-                bhead[i] = s
-            else:
-                # Tail probe, then bounded sorted insert: keep the
-                # bucket clean so the drain never re-sorts it (see
-                # ArrayCalendar.push_new).
-                btail = core.btail
-                tl = btail[i]
-                ct = et[tl]
-                if ct < when or (
-                    ct == when
-                    and (
-                        ep[tl] < NORMAL
-                        or (ep[tl] == NORMAL and es[tl] < seq)
-                    )
-                ):
-                    nxt[tl] = s
-                    nxt[s] = -1
-                    btail[i] = s
-                else:
-                    prev = -1
-                    cur = h
-                    hops = _SORTED_INSERT_MAX
-                    placed = False
-                    while cur >= 0:
-                        ct = et[cur]
-                        if ct < when or (
-                            ct == when
-                            and (
-                                ep[cur] < NORMAL
-                                or (ep[cur] == NORMAL and es[cur] < seq)
-                            )
-                        ):
-                            hops -= 1
-                            if hops == 0:
-                                nxt[s] = h
-                                bhead[i] = s
-                                core.bdirty[i] = 1
-                                placed = True
-                                break
-                            prev = cur
-                            cur = nxt[cur]
-                        else:
-                            break
-                    if not placed:
-                        nxt[s] = cur
-                        if prev < 0:
-                            bhead[i] = s
-                        else:
-                            nxt[prev] = s
-            if v < core.cur_v:
-                core.cur_v = v
-            qsize = core.qsize + 1
-            core.qsize = qsize
-            if qsize > self._max_queue_len:
-                self._max_queue_len = qsize
-                # Entries-based grow gate (see ArrayCalendar.push_new).
-                if (
-                    qsize > core.grow_at
-                    and core.cap - len(free) > core.grow_at
-                ):
-                    core.need_rebuild = True
-            return t
         q = self._queue
         _heappush(q, (when, NORMAL, seq, t))
         if len(q) > self._max_queue_len:
@@ -986,113 +712,6 @@ class Environment:
     def _schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
         seq = self._seq
         self._seq = seq + 1
-        core = self._core
-        if core is not None:
-            t = self.now if delay == 0.0 else self.now + delay
-            if core.ins_t == t and core.ins_p == priority:
-                # Coalesced (instant, priority) chain — and no
-                # urgent-generation bump: the chain the cache points at
-                # is already ordered after the drain position, so no
-                # preemption is needed.
-                core.ins_chain.append(event)
-                core.qsize += 1
-                return
-            et = core.et
-            ep = core.ep
-            if delay != 0.0:
-                core.push_new(t, priority, seq, event)
-                return
-            # Inlined ArrayCalendar.push_at_now_new (the reference; keep
-            # the two in lockstep) — almost every remaining _schedule
-            # call (succeed / fail / interrupt / initialize) targets the
-            # current instant, whose bucket number is cached, and lands
-            # in the bucket the run loop is draining: link at the sorted
-            # position instead of dirty-marking, which would force the
-            # drain to break and re-sort per entry.
-            es = core.es
-            nxt = core.nxt
-            v = core.now_v
-            i = v & core.mask
-            if priority == URGENT:
-                # The run loop's chain drain watches this counter: an
-                # urgent insert at the current instant must preempt the
-                # NORMAL chain being drained.
-                core.u0 += 1
-            free = core.free
-            if not free:
-                core._grow()
-            s = free.pop()
-            et[s] = t
-            ep[s] = priority
-            es[s] = seq
-            core.ev[s] = v
-            chain = core.chains[s]
-            chain.append(event)
-            core.ins_t = t
-            core.ins_p = priority
-            core.ins_chain = chain
-            bhead = core.bhead
-            h = bhead[i]
-            if h < 0:
-                nxt[s] = -1
-                bhead[i] = s
-                core.btail[i] = s
-            elif core.bdirty[i]:
-                nxt[s] = h
-                bhead[i] = s
-            else:
-                # Tail probe (the largest seq of this instant belongs
-                # at the tail unless something later-timed is queued),
-                # else a sorted walk from the head past every entry
-                # ordered before (t, priority, seq) — in lockstep with
-                # ArrayCalendar.push_at_now_new, the reference.
-                btail = core.btail
-                tl = btail[i]
-                ct = et[tl]
-                if ct < t or (
-                    ct == t
-                    and (
-                        ep[tl] < priority
-                        or (ep[tl] == priority and es[tl] < seq)
-                    )
-                ):
-                    nxt[tl] = s
-                    nxt[s] = -1
-                    btail[i] = s
-                else:
-                    prev = -1
-                    cur = h
-                    while cur >= 0:
-                        ct = et[cur]
-                        if ct < t or (
-                            ct == t
-                            and (
-                                ep[cur] < priority
-                                or (ep[cur] == priority and es[cur] < seq)
-                            )
-                        ):
-                            prev = cur
-                            cur = nxt[cur]
-                        else:
-                            break
-                    nxt[s] = cur
-                    if prev < 0:
-                        bhead[i] = s
-                    else:
-                        nxt[prev] = s
-            if v < core.cur_v:
-                core.cur_v = v
-            qsize = core.qsize + 1
-            core.qsize = qsize
-            if qsize > self._max_queue_len:
-                self._max_queue_len = qsize
-                # Entries-based grow gate (see ArrayCalendar.push_new).
-                if (
-                    qsize > core.grow_at
-                    and core.cap - len(free) > core.grow_at
-                ):
-                    core.need_rebuild = True
-            return
         q = self._queue
         _heappush(q, (self.now + delay, priority, seq, event))
         if len(q) > self._max_queue_len:
@@ -1100,12 +719,6 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        if self._use_array:
-            core = self._core
-            if core.need_rebuild:
-                core.rebuild()
-            h = core.find_head()
-            return core.et[h] if h >= 0 else float("inf")
         q = self._queue
         tombs = self._tombs
         while q and tombs and q[0][3] in tombs:
@@ -1122,58 +735,19 @@ class Environment:
     def step(self) -> None:
         """Process exactly one event (advancing the clock to it).
 
-        This is the reference implementation of one scheduler round; the
-        loops in :meth:`run` inline exactly this sequence (plus the
-        tombstone discard that :meth:`peek` performs here).
+        This is the reference implementation of one event-loop round:
+        :meth:`_run` inlines exactly this sequence, including the
+        tombstone discard that :meth:`peek` performs here.
         """
-        if self._use_array:
-            core = self._core
-            if core.need_rebuild:
-                core.rebuild()
-            h = core.find_head()
-            if h < 0:
-                raise SimulationError("step() on an empty event queue")
-            when = core.et[h]
-            hv = core.ev[h]
-            chain = core.chains[h]
-            event = chain[0]
-            if len(chain) == 1:
-                # find_head leaves the minimal slot at its bucket's head.
-                core.bhead[hv & core.mask] = core.nxt[h]
-                chain.clear()
-                core.free.append(h)
-                if core.ins_chain is chain:
-                    core.ins_t = _NAN
-            else:
-                # Later chain members stay queued under the entry's
-                # original seq0 — still a valid tiebreaker, since any
-                # other (time, priority) twin entry holds larger seqs.
-                del chain[0]
-            core.qsize -= 1
-            core.cur_v = hv
-        else:
-            queue = self._queue
-            tombs = self._tombs
-            while True:
-                if not queue:
-                    raise SimulationError("step() on an empty event queue")
-                when, _prio, _seq, event = _heappop(queue)
-                if not (tombs and event in tombs):
-                    break
-                tombs.discard(event)
-                self._cancelled_skipped += 1
-                event._cb1 = None
-                event._cbs = None
-                event._processed = True
-                if event._pooled:
-                    self._tpool.append(event)
+        self.peek()
+        if not self._queue:
+            raise SimulationError("step() on an empty event queue")
+        when, _prio, _seq, event = _heappop(self._queue)
         if when < self.now:  # pragma: no cover - guarded by schedule logic
             raise SimulationError("event scheduled in the past")
         if when > self.now:
             old = self.now
             self.now = when
-            if self._use_array:
-                self._core.now_v = hv
             for fn in self._clock_listeners:
                 fn(old, when)
         self._event_count += 1
@@ -1205,9 +779,8 @@ class Environment:
         * an :class:`Event` — run until that event is processed, returning
           its value (or raising its failure).
         """
-        runner = self._run_array if self._use_array else self._run_heap_reference
         if until is None:
-            runner(float("inf"))
+            self._run(float("inf"))
             return None
 
         if isinstance(until, Event):
@@ -1227,7 +800,7 @@ class Environment:
                 return sentinel._value
             sentinel.add_callback(_stop)
             try:
-                runner(float("inf"))
+                self._run(float("inf"))
             except StopSimulation:
                 if not result["ok"]:
                     raise result["value"]
@@ -1239,394 +812,13 @@ class Environment:
         deadline = float(until)
         if deadline < self.now:
             raise SimulationError("run(until=t) with t in the past")
-        runner(deadline)
+        self._run(deadline)
         self.now = deadline
-        if self._use_array:
-            core = self._core
-            core.now_v = core.v_of(deadline)
         return None
 
-    def _run_array(self, deadline: float) -> None:
-        """The default hot event loop, over the typed-array core:
-        semantically ``while queue: step()`` with cached bindings,
-        stopping once the minimal pending time exceeds ``deadline``.
-
-        The cursor ``core.cur_v`` sweeps the bucket array; a bucket whose
-        sorted head carries the cursor's virtual bucket number is drained
-        entry by entry in ``(time, priority, seq)`` order. Callbacks may
-        insert behind the cursor (``cur_v`` drops), dirty the current
-        bucket, or request a rebuild — the drain re-checks all three
-        after every dispatch and falls back to the outer loop. After a
-        fruitless sweep of the whole array the loop locates the global
-        minimum directly and jumps the cursor to it (the steady state
-        for sparse queues idling between monitoring periods).
-
-        Entries are slots in :class:`ArrayCalendar`'s flat arrays,
-        bucket membership is an intrusive index chain (``bhead``/``nxt``)
-        and a drained slot returns to the free list. Capacity growth
-        extends the arrays in place, so the local bindings below stay
-        valid across callbacks; only a rebuild replaces
-        ``bhead``/``bdirty``/``mask`` (rebound at the loop top, where
-        rebuilds run). The dispatch order is asserted identical to
-        :meth:`_run_heap_reference` by the equivalence and differential
-        tests.
-        """
-        core = self._core
-        et = core.et
-        ep = core.ep
-        ev = core.ev
-        nxt = core.nxt
-        chains = core.chains
-        free = core.free
-        bhead = core.bhead
-        bdirty = core.bdirty
-        mask = core.mask
-        tombs = self._tombs
-        tpool = self._tpool
-        listeners = self._clock_listeners
-        processed = 0
-        scans = 0
-        try:
-            while core.qsize:
-                if core.need_rebuild:
-                    core.rebuild()
-                    bhead = core.bhead
-                    bdirty = core.bdirty
-                    mask = core.mask
-                cur_v = core.cur_v
-                i = cur_v & mask
-                h = bhead[i]
-                if h >= 0:
-                    if bdirty[i]:
-                        blen = core.sort_bucket(i)
-                        h = bhead[i]
-                        if (
-                            blen >= _DEGENERATE_BUCKET
-                            and self._seq - core.last_rebuild_seq > 256
-                        ):
-                            core.need_rebuild = True
-                            continue
-                    hv = ev[h]
-                else:
-                    hv = -1
-                if hv != cur_v:
-                    if h >= 0 and hv < cur_v:  # pragma: no cover - cursor invariant
-                        core.cur_v = hv
-                        continue
-                    # Nothing for the cursor's year: advance, or after a
-                    # full fruitless sweep jump straight to the minimum.
-                    scans += 1
-                    if scans > mask:
-                        h = core.find_head()
-                        if h < 0:
-                            return  # only tombstones remained
-                        core.cur_v = ev[h]
-                        scans = 0
-                    else:
-                        if mask > 63 and core.qsize < (mask + 1) >> 3:
-                            core.need_rebuild = True
-                        core.cur_v = cur_v + 1
-                    continue
-                # Drain the bucket: every head entry carrying the
-                # cursor's virtual bucket number (hv == cur_v) is
-                # globally next, and its chain holds every event at that
-                # exact (time, priority) in seq order. The clock
-                # advances once per entry, not once per event. The
-                # consumed-event count is kept in a local and flushed
-                # once (inserts during callbacks update qsize
-                # independently, so the deferred decrement composes;
-                # qsize overstates by the events consumed so far, so
-                # _max_queue_len may read a few high, which stats can
-                # live with).
-                scans = 0
-                npop = 0
-                try:
-                    while True:
-                        when = et[h]
-                        if when > deadline:
-                            return
-                        bhead[i] = nxt[h]
-                        chain = chains[h]
-                        if core.ins_chain is chain:
-                            # Never coalesce into a popped entry; the
-                            # cache survives pops of *other* slots (it
-                            # only ever moves forward to newer entries).
-                            core.ins_t = _NAN
-                        # The heap reference advances the clock only when
-                        # it dispatches a *live* event: a popped entry
-                        # whose chain turns out to be all tombstones must
-                        # leave the clock (and the clock listeners)
-                        # untouched. With tombstones pending, defer the
-                        # advance to the first live dispatch.
-                        if tombs:
-                            clock_pending = True
-                        else:
-                            clock_pending = False
-                            now = self.now
-                            if when > now:
-                                self.now = when
-                                core.now_v = cur_v
-                                if listeners:
-                                    for fn in listeners:
-                                        fn(now, when)
-                        n = len(chain)
-                        npop += n
-                        if n == 1:
-                            # Solo entry (the cascade shape: store
-                            # ping-pong, sparse timers): skip the chain
-                            # walk's index loop, urgent watch and requeue
-                            # guard — a popped solo event has nothing left
-                            # to preempt or requeue. The slot is dead the
-                            # moment its sole event is off the chain, so
-                            # recycle it before dispatch and a callback's
-                            # insert can reuse it immediately.
-                            event = chain[0]
-                            chain.clear()
-                            free.append(h)
-                            if tombs and event in tombs:
-                                tombs.discard(event)
-                                self._cancelled_skipped += 1
-                                event._cb1 = None
-                                event._cbs = None
-                                event._processed = True
-                                if event._pooled:
-                                    tpool.append(event)
-                            else:
-                                if clock_pending:
-                                    clock_pending = False
-                                    now = self.now
-                                    if when > now:
-                                        self.now = when
-                                        core.now_v = cur_v
-                                        if listeners:
-                                            for fn in listeners:
-                                                fn(now, when)
-                                processed += 1
-                                cb1 = event._cb1
-                                cbs = event._cbs
-                                event._cb1 = None
-                                event._cbs = None
-                                event._processed = True
-                                if cb1 is None:
-                                    pass
-                                elif cb1.__class__ is not Process:
-                                    cb1(event)
-                                    if cbs:
-                                        for fn in cbs:
-                                            fn(event)
-                                else:
-                                    # Inlined Process._resume fast path
-                                    # (lockstep with _resume and the
-                                    # chain walk below).
-                                    if cb1._value is _PENDING:
-                                        target = cb1._target
-                                        if (
-                                            target is not None
-                                            and target is not event
-                                        ):
-                                            target.remove_callback(cb1)
-                                        cb1._target = None
-                                        self._active = cb1
-                                        try:
-                                            if event._ok:
-                                                nxt_ev = cb1._send(event._value)
-                                            else:
-                                                event._defused = True
-                                                nxt_ev = cb1._throw(event._value)
-                                        except StopIteration as stop:
-                                            self._active = None
-                                            cb1._ok = True
-                                            cb1._value = stop.value
-                                            self._schedule(cb1, NORMAL)
-                                        except BaseException as exc:
-                                            self._active = None
-                                            cb1.fail(exc)
-                                        else:
-                                            self._active = None
-                                            if (
-                                                (
-                                                    nxt_ev.__class__ is Timeout
-                                                    or isinstance(nxt_ev, Event)
-                                                )
-                                                and nxt_ev.env is self
-                                                and not nxt_ev._processed
-                                                and nxt_ev._cb1 is None
-                                            ):
-                                                nxt_ev._cb1 = cb1
-                                                cb1._target = nxt_ev
-                                            else:
-                                                cb1._finish_resume(nxt_ev)
-                                    if cbs:
-                                        for fn in cbs:
-                                            fn(event)
-                                if not event._ok and not event._defused:
-                                    exc = event._value
-                                    raise exc if isinstance(
-                                        exc, BaseException
-                                    ) else SimulationError(str(exc))
-                                if event._pooled:
-                                    tpool.append(event)
-                            h = bhead[i]
-                            if h < 0:
-                                break
-                            if (
-                                bdirty[i]
-                                or core.cur_v != cur_v
-                                or core.need_rebuild
-                            ):
-                                break
-                            if ev[h] != cur_v:
-                                break
-                            continue
-                        prio = ep[h]
-                        u0 = core.u0
-                        idx = 0
-                        requeued = False
-                        try:
-                            while idx < n:
-                                event = chain[idx]
-                                idx += 1
-                                if tombs and event in tombs:
-                                    tombs.discard(event)
-                                    self._cancelled_skipped += 1
-                                    event._cb1 = None
-                                    event._cbs = None
-                                    event._processed = True
-                                    if event._pooled:
-                                        tpool.append(event)
-                                    continue
-                                if clock_pending:
-                                    clock_pending = False
-                                    now = self.now
-                                    if when > now:
-                                        self.now = when
-                                        core.now_v = cur_v
-                                        if listeners:
-                                            for fn in listeners:
-                                                fn(now, when)
-                                processed += 1
-                                cb1 = event._cb1
-                                cbs = event._cbs
-                                event._cb1 = None
-                                event._cbs = None
-                                event._processed = True
-                                if cb1 is None:
-                                    pass
-                                elif cb1.__class__ is not Process:
-                                    cb1(event)
-                                    if cbs:
-                                        for fn in cbs:
-                                            fn(event)
-                                else:
-                                    # Inlined Process._resume fast path —
-                                    # _resume stays the reference; keep
-                                    # the two in lockstep.
-                                    if cb1._value is _PENDING:
-                                        target = cb1._target
-                                        if (
-                                            target is not None
-                                            and target is not event
-                                        ):
-                                            target.remove_callback(cb1)
-                                        cb1._target = None
-                                        self._active = cb1
-                                        try:
-                                            if event._ok:
-                                                nxt_ev = cb1._send(event._value)
-                                            else:
-                                                event._defused = True
-                                                nxt_ev = cb1._throw(event._value)
-                                        except StopIteration as stop:
-                                            self._active = None
-                                            cb1._ok = True
-                                            cb1._value = stop.value
-                                            self._schedule(cb1, NORMAL)
-                                        except BaseException as exc:
-                                            self._active = None
-                                            cb1.fail(exc)
-                                        else:
-                                            self._active = None
-                                            if (
-                                                (
-                                                    nxt_ev.__class__ is Timeout
-                                                    or isinstance(nxt_ev, Event)
-                                                )
-                                                and nxt_ev.env is self
-                                                and not nxt_ev._processed
-                                                and nxt_ev._cb1 is None
-                                            ):
-                                                nxt_ev._cb1 = cb1
-                                                cb1._target = nxt_ev
-                                            else:
-                                                cb1._finish_resume(nxt_ev)
-                                    if cbs:
-                                        for fn in cbs:
-                                            fn(event)
-                                if not event._ok and not event._defused:
-                                    exc = event._value
-                                    raise exc if isinstance(
-                                        exc, BaseException
-                                    ) else SimulationError(str(exc))
-                                if event._pooled:
-                                    tpool.append(event)
-                                if prio and core.u0 != u0:
-                                    # An urgent insert for this instant
-                                    # must preempt the rest of a NORMAL
-                                    # chain: requeue the remainder in
-                                    # place — the slot keeps its
-                                    # original seq0 (still the smallest
-                                    # seq for this (time, priority)) —
-                                    # and let the outer loop re-sort.
-                                    if idx < n:
-                                        del chain[:idx]
-                                        nxt[h] = bhead[i]
-                                        bhead[i] = h
-                                        bdirty[i] = 1
-                                        npop -= n - idx
-                                        requeued = True
-                                    break
-                        except BaseException:
-                            if idx < n:
-                                # A callback raised (StopSimulation, a
-                                # propagated failure, ...) mid-chain:
-                                # requeue the undispatched remainder so
-                                # a later run() resumes exactly where
-                                # the heap reference would.
-                                del chain[:idx]
-                                nxt[h] = bhead[i]
-                                bhead[i] = h
-                                bdirty[i] = 1
-                                npop -= n - idx
-                            else:
-                                chain.clear()
-                                free.append(h)
-                            raise
-                        if not requeued:
-                            chain.clear()
-                            free.append(h)
-                        # Dispatch may have scheduled into this bucket
-                        # (dirty), behind the cursor, or flagged a
-                        # rebuild; any of those invalidates the drain.
-                        h = bhead[i]
-                        if h < 0:
-                            break
-                        if (
-                            bdirty[i]
-                            or core.cur_v != cur_v
-                            or core.need_rebuild
-                        ):
-                            break
-                        if ev[h] != cur_v:
-                            break
-                finally:
-                    core.qsize -= npop
-        finally:
-            self._event_count += processed
-
-    def _run_heap_reference(self, deadline: float) -> None:
-        """The retained binary-heap run loop, semantically
-        ``while queue: step()``; the executable spec :meth:`_run_array`
-        is asserted equivalent against."""
+    def _run(self, deadline: float) -> None:
+        """The hot event loop: semantically ``while peek() <= deadline:
+        step()``, with cached bindings instead of a call per event."""
         queue = self._queue
         pop = _heappop
         tombs = self._tombs

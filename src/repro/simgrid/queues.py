@@ -29,14 +29,6 @@ steal request, and statistics report in the simulation funnels through
 them. The inlined paths schedule exactly the same events in exactly the
 same ``(time, priority, seq)`` order as the straightforward code, so
 seeded runs are unaffected.
-
-Every wake here targets the *current* instant at NORMAL priority, which
-is exactly the calendar queue's coalesced-deadline hit path: consecutive
-same-instant wakes (a put releasing a getter, a reply releasing the
-requester) join the engine's cached chain entry for the cost of one list
-append (see ``Environment._schedule`` and docs/performance.md, "Event
-scheduler"). Replicating that cache check here was measured and rejected
-— the extra miss-path compares cost more than the saved call frame.
 """
 
 from __future__ import annotations

@@ -4,7 +4,6 @@ import numpy as np
 from dataclasses import replace
 
 from repro.apps.dctree import SyntheticIterativeApp, balanced_tree
-from repro.config import SCHEDULERS, RunConfig
 from repro.experiments import run_scenario
 from repro.experiments.scenarios import ScenarioSpec, scaled_das2
 from repro.simgrid.events import CpuLoadEvent
@@ -67,37 +66,3 @@ def test_events_replay_identically():
     assert np.array_equal(a.iteration_durations, b.iteration_durations)
     assert a.adaptation_log == b.adaptation_log
 
-
-def test_all_schedulers_produce_identical_runs():
-    """A full adaptive scenario is *observationally identical* under the
-    typed-array calendar core and the retained binary-heap reference:
-    same event order implies the same stealing, monitoring, and
-    adaptation history, down to the floating-point accounting splits the
-    goldens record."""
-    spec = tiny_spec(
-        events=(CpuLoadEvent(time=20.0, load=5.0, cluster="uva"),),
-    )
-    heap = run_scenario(
-        spec, "adapt", seed=5, config=RunConfig(scheduler="heap")
-    )
-    for scheduler in SCHEDULERS:
-        if scheduler == "heap":
-            continue
-        cal = run_scenario(
-            spec, "adapt", seed=5, config=RunConfig(scheduler=scheduler)
-        )
-        assert cal.completed == heap.completed
-        assert cal.runtime_seconds == heap.runtime_seconds
-        assert cal.iterations_done == heap.iterations_done
-        assert cal.executed_leaves == heap.executed_leaves
-        assert np.array_equal(cal.iteration_times, heap.iteration_times)
-        assert np.array_equal(cal.iteration_durations, heap.iteration_durations)
-        assert np.array_equal(cal.wae.times, heap.wae.times)
-        assert np.array_equal(cal.wae.values, heap.wae.values)
-        assert np.array_equal(cal.nworkers.values, heap.nworkers.values)
-        assert cal.time_by_category == heap.time_by_category  # bit-exact
-        assert cal.final_workers == heap.final_workers
-        assert cal.adaptation_log == heap.adaptation_log
-        assert [(t, type(d).__name__) for t, d in cal.decisions] == [
-            (t, type(d).__name__) for t, d in heap.decisions
-        ]

@@ -11,8 +11,11 @@ import pytest
 
 from repro import cli
 from repro.apps.dctree import SyntheticIterativeApp, balanced_tree
-from repro.experiments import SCENARIOS
+from repro.config import RunConfig
+from repro.experiments import SCENARIOS, run_scenario
 from repro.experiments.scenarios import ScenarioSpec, scaled_das2
+from repro.harness import Harness
+from repro.simgrid.engine import Environment
 
 
 @pytest.fixture()
@@ -98,16 +101,35 @@ def test_no_command_rejected():
     [
         (["run", "s1", "--scheduler", "calendar"], "'calendar'"),
         (["bench"], "'bench'"),
+        (["run", "s1", "--scheduler", "heap"], "'heap'"),
     ],
 )
 def test_retired_choices_are_usage_errors(argv, bad, capsys):
-    # The object-tuple calendar scheduler and the in-package timing
-    # harness verb are gone: both are argparse invalid-choice errors
-    # (exit status 2).
+    # Retired surfaces are argparse usage errors (exit status 2): the
+    # in-package timing harness verb is an invalid choice, and the
+    # --scheduler flag is gone along with every event queue it named.
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
-    assert f"invalid choice: {bad}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if "--scheduler" in argv:
+        assert f"unrecognized arguments: --scheduler {bad.strip(chr(39))}" in err
+    else:
+        assert f"invalid choice: {bad}" in err
+
+
+def test_retired_scheduler_keyword_is_a_type_error():
+    # One event queue, no selector: every library entry point that took
+    # scheduler= rejects it like any unknown keyword.
+    spec = SCENARIOS["s1"]
+    with pytest.raises(TypeError):
+        RunConfig(scheduler="heap")
+    with pytest.raises(TypeError):
+        Environment(scheduler="heap")
+    with pytest.raises(TypeError):
+        Harness.build(spec.grid, scheduler="heap")
+    with pytest.raises(TypeError):
+        run_scenario(spec, "none", scheduler="heap")
 
 
 # ----------------------------------------------------------------- profile
