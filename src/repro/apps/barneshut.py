@@ -148,55 +148,14 @@ def build_octree(
     object tree.
 
     The result is **bit-for-bit identical** to the naive recursion
-    (:func:`_fill_reference`): every node's body group is a contiguous
-    original-order slice, so the pairwise-summed mass and centre-of-mass
-    reductions see the same values in the same order, and the child-center
-    arithmetic performs the exact same IEEE operations. Seeded experiment
-    runs therefore replay identically on either implementation.
+    (``tests/reference/barneshut.py``): every node's body group is a
+    contiguous original-order slice, so the pairwise-summed mass and
+    centre-of-mass reductions see the same values in the same order, and
+    the child-center arithmetic performs the exact same IEEE operations.
+    Seeded experiment runs therefore replay identically on either
+    implementation.
     """
     return build_flat_octree(positions, masses, bucket_size, max_depth).to_object_tree()
-
-
-def _fill_reference(
-    node: OctreeNode,
-    positions: np.ndarray,
-    masses: np.ndarray,
-    idx: np.ndarray,
-    bucket_size: int,
-    depth_left: int,
-) -> None:
-    """Naive recursive octree fill — the readable reference implementation.
-
-    Kept (and exercised by the test suite) as the specification that the
-    level-synchronous :func:`build_octree` must reproduce bit-for-bit.
-    """
-    node.count = len(idx)
-    m = masses[idx]
-    node.mass = float(m.sum())
-    if node.mass > 0:
-        node.com = (positions[idx] * m[:, None]).sum(axis=0) / node.mass
-    else:  # pragma: no cover - massless cells don't occur with our inputs
-        node.com = node.center.copy()
-    if len(idx) <= bucket_size or depth_left == 0:
-        node.bodies = idx
-        return
-    rel = positions[idx] > node.center  # (k, 3) bool
-    octant = rel[:, 0] * 4 + rel[:, 1] * 2 + rel[:, 2] * 1
-    quarter = node.half_size / 2.0
-    for o in range(8):
-        sub_idx = idx[octant == o]
-        if len(sub_idx) == 0:
-            continue
-        offset = np.array(
-            [
-                quarter if o & 4 else -quarter,
-                quarter if o & 2 else -quarter,
-                quarter if o & 1 else -quarter,
-            ]
-        )
-        child = OctreeNode(node.center + offset, quarter)
-        node.children.append(child)
-        _fill_reference(child, positions, masses, sub_idx, bucket_size, depth_left - 1)
 
 
 # ----------------------------------------------------- traversal (vectorised)

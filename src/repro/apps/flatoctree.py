@@ -123,7 +123,8 @@ class FlatOctree:
 
         Every field is copied bit-for-bit from the flat arrays, so the
         result is indistinguishable from what the object builder used to
-        return — the tests byte-compare it against ``_fill_reference``.
+        return — the tests byte-compare it against the recursive fill in
+        ``tests/reference/barneshut.py``.
         """
         if self._root is not None:
             return self._root

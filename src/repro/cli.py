@@ -41,7 +41,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .config import COORDINATOR_MODES, RunConfig
+from .config import RunConfig
 from .experiments import (
     SCENARIOS,
     SUBSTRATES,
@@ -103,11 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="FILE", default=None,
         help="write the full measurement record as JSON "
              "(a list when several scenarios are given)",
-    )
-    p_run.add_argument(
-        "--coordinator", choices=COORDINATOR_MODES, default="streaming",
-        help="decision path: incremental streaming (default) or the batch "
-             "snapshot re-fold spec; both produce identical results",
     )
     p_run.add_argument(
         "--shards", type=int, default=1, metavar="N",
@@ -379,10 +374,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     results = run_scenarios_parallel(
         [(spec, args.variant, args.seed) for spec in specs],
         n_jobs=args.jobs,
-        config=RunConfig(
-            coordinator=args.coordinator,
-            shards=args.shards,
-        ),
+        config=RunConfig(shards=args.shards),
     )
     for result in results:
         _print_run_summary(result)

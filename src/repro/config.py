@@ -33,15 +33,10 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 __all__ = [
     "RunConfig",
-    "COORDINATOR_MODES",
     "canonical_data",
     "canonical_json",
 ]
 
-#: coordinator decision paths: the incremental streaming pipeline
-#: (production default) and the batch snapshot re-fold retained as the
-#: executable spec; both produce identical decisions and goldens.
-COORDINATOR_MODES = ("streaming", "batch")
 
 def canonical_data(obj: Any) -> Any:
     """A process-stable, JSON-able form of ``obj`` for cache keying.
@@ -198,18 +193,13 @@ class RunConfig:
     production configuration and call sites override only what they vary::
 
         run_scenario(spec, "adapt", seed=3,
-                     config=RunConfig(coordinator="batch"))
+                     config=RunConfig(detection_delay=5.0))
 
     ``RunConfig`` is picklable as long as its payload fields (``obs``,
     ``trace``, ``sinks`` …) are — required when ``run_scenarios_parallel``
     ships it to spawned worker processes.
     """
 
-    #: coordinator decision path: "streaming" (incremental WAE + top-k
-    #: badness, O(changed) per period) or "batch" (full snapshot re-fold,
-    #: the executable spec). Policies that override ``decide`` (e.g. the
-    #: opportunistic extension) always take the batch path.
-    coordinator: str = "streaming"
     #: enable the profiling telemetry tier (spans + attribution ledger)
     #: when no explicit ``obs`` is given.
     profile: bool = False
@@ -242,11 +232,6 @@ class RunConfig:
     sinks: tuple = field(default=())
 
     def __post_init__(self) -> None:
-        if self.coordinator not in COORDINATOR_MODES:
-            raise ValueError(
-                f"coordinator must be one of {COORDINATOR_MODES}, "
-                f"got {self.coordinator!r}"
-            )
         if self.detection_delay is not None and self.detection_delay < 0:
             raise ValueError("detection_delay must be >= 0")
         if not isinstance(self.jobs, int):

@@ -203,7 +203,7 @@ def explain_nodes(
     # depends on string hashing, which would make the cluster sums' FP
     # rounding — and thus potentially the worst-cluster choice — vary with
     # PYTHONHASHSEED. Input order pins the fold to a defined sequence of
-    # additions, which the streaming coordinator replicates per cluster.
+    # additions, which ``GridState.fold`` replicates per cluster.
     cluster_speed: dict[str, float] = {}
     cluster_ic_sum: dict[str, float] = {}
     cluster_n: dict[str, int] = {}

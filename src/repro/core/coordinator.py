@@ -4,16 +4,22 @@ An extra process added to the computation that:
 
 1. **collects** the per-monitoring-period statistics every worker ships to
    its mailbox (speed, overhead, inter-cluster overhead);
-2. periodically computes the **weighted average efficiency** and the other
-   aggregates from the most recent report of each live worker — a worker
-   whose report for the current period has not arrived is represented by
-   its previous one, exactly as the paper handles unsynchronised clocks;
-3. **decides** via :class:`~repro.core.policy.AdaptationPolicy` and
+2. once per monitoring period folds the most recent report of each live
+   worker into a :class:`~repro.core.policy.GridSnapshot` and computes the
+   **weighted average efficiency** and the other aggregates from it — a
+   worker whose report for the current period has not arrived is
+   represented by its previous one, exactly as the paper handles
+   unsynchronised clocks;
+3. **decides** by handing that snapshot to
+   :class:`~repro.core.policy.AdaptationPolicy` (or a subclass) and
 4. **acts**: asks the Zorilla pool for new nodes (honouring the blacklist
    and the learned bandwidth requirement), or signals the worst nodes to
    leave, or evicts a badly-connected cluster wholesale while recording
    the observed bandwidth to it as the application's new minimum
    requirement.
+
+The ``large_grid`` substrate takes the same decision at 10^4 nodes on
+resident arrays instead of a snapshot (:mod:`repro.core.streaming`).
 
 Growth hysteresis: after requesting nodes the coordinator waits until the
 new nodes' first reports arrive before growing again — this is what makes
@@ -51,7 +57,6 @@ from .policy import (
     RemoveCluster,
     RemoveNodes,
 )
-from .streaming import StreamingDecisionState
 
 __all__ = ["AdaptationCoordinator", "CoordinatorConfig"]
 
@@ -79,13 +84,6 @@ class CoordinatorConfig:
     #: probing (the paper's implemented behaviour: "currently we add any
     #: nodes the scheduler gives us").
     probe_benchmark_work: float = 0.0
-    #: decision-path implementation: "streaming" folds reports into
-    #: resident arrays as they arrive so a period costs O(changed nodes)
-    #: (see :mod:`repro.core.streaming`); "batch" rebuilds a full
-    #: GridSnapshot per period — the executable spec the streaming path
-    #: matches bit-for-bit. Policies that override ``decide`` (e.g. the
-    #: opportunistic extension) always use the batch path.
-    mode: str = "streaming"
 
     def __post_init__(self) -> None:
         if self.monitoring_period <= 0:
@@ -94,10 +92,8 @@ class CoordinatorConfig:
             raise ValueError("delays must be >= 0")
         if self.probe_benchmark_work < 0:
             raise ValueError("probe_benchmark_work must be >= 0")
-        if self.mode not in ("streaming", "batch"):
-            raise ValueError(
-                f'mode must be "streaming" or "batch", got {self.mode!r}'
-            )
+        if self.leave_signal_bytes < 0:
+            raise ValueError("leave_signal_bytes must be >= 0")
 
 
 class AdaptationCoordinator:
@@ -131,15 +127,6 @@ class AdaptationCoordinator:
         self.obs = runtime.obs
 
         self.latest: dict[str, NodeReport] = {}
-        #: resident streaming decision state (None on the batch path or
-        #: when the policy subclass overrides ``decide`` — the streaming
-        #: fold replicates only the base strategy's arithmetic).
-        self.streaming: Optional[StreamingDecisionState] = (
-            StreamingDecisionState()
-            if self.config.mode == "streaming"
-            and type(self.policy) is AdaptationPolicy
-            else None
-        )
         #: nodes we added whose first report has not arrived yet
         self._awaiting_first_report: set[str] = set()
         self.decisions: list[tuple[float, Decision]] = []
@@ -186,8 +173,6 @@ class AdaptationCoordinator:
                 reports = (message,)
             for report in reports:
                 self.latest[report.worker] = report
-                if self.streaming is not None:
-                    self.streaming.observe(report)
                 self._awaiting_first_report.discard(report.worker)
 
     # ----------------------------------------------------------------- decide
@@ -214,83 +199,40 @@ class AdaptationCoordinator:
         return GridSnapshot(time=self.env.now, nodes=tuple(views))
 
     def _decide_loop(self) -> Generator[Event, Any, None]:
+        """Once per period: fold the latest reports into a snapshot and
+        hand it to the policy."""
         cfg = self.config
-        yield self.env.timeout(cfg.monitoring_period + cfg.decision_slack)
+        delay = cfg.monitoring_period + cfg.decision_slack
         while True:
-            if self.streaming is not None:
-                self._decide_streaming_once()
-            else:
-                self._decide_batch_once()
-            yield self.env.timeout(cfg.monitoring_period)
-
-    def _decide_batch_once(self) -> None:
-        """One decision period on the batch path: rebuild a full snapshot
-        and hand it to the policy — the executable spec the streaming
-        path must match bit-for-bit."""
-        snap = self.snapshot()
-        if not snap.nodes:
-            return
-        wae = snap.wae()
-        self.trace.record("wae", self.env.now, wae)
-        if self.obs.bus.wants(WaeSample.kind):
-            comps = wae_components(
-                [n.speed for n in snap.nodes],
-                [n.overhead for n in snap.nodes],
+            yield self.env.timeout(delay)
+            delay = cfg.monitoring_period
+            snap = self.snapshot()
+            if not snap.nodes:
+                continue
+            wae = snap.wae()
+            self.trace.record("wae", self.env.now, wae)
+            if self.obs.bus.wants(WaeSample.kind):
+                comps = wae_components(
+                    [n.speed for n in snap.nodes],
+                    [n.overhead for n in snap.nodes],
+                )
+                self.obs.bus.emit(WaeSample(
+                    time=self.env.now, wae=wae, nodes=len(snap.nodes),
+                    spread=float(comps.max() - comps.min()),
+                ))
+            self._apply_tuner(wae)
+            if self._acting:
+                self.trace.log(
+                    self.env.now, "adaptation_skip",
+                    reason="previous action still in flight",
+                )
+                continue
+            decision = self.policy.decide(
+                snap, protected=self._protected_nodes()
             )
-            self.obs.bus.emit(WaeSample(
-                time=self.env.now, wae=wae, nodes=len(snap.nodes),
-                spread=float(comps.max() - comps.min()),
-            ))
-        self._apply_tuner(wae)
-        if self._acting:
-            self.trace.log(
-                self.env.now, "adaptation_skip",
-                reason="previous action still in flight",
-            )
-            return
-        decision = self.policy.decide(snap, protected=self._protected_nodes())
-        if self.tuner is not None:
-            self.tuner.on_decision(self.env.now, decision, snap)
-        self._commit_decision(decision, snap)
-
-    def _decide_streaming_once(self) -> None:
-        """One decision period on the streaming path: O(changed nodes).
-
-        A full GridSnapshot is materialised only when something actually
-        consumes it — the feedback tuner, or an enabled telemetry stack
-        (the profile explainer replays decisions from the captured
-        snapshots). Plain runs leave ``decision_snapshots`` empty.
-        """
-        stream = self.streaming
-        assert stream is not None
-        stream.sync(
-            self.runtime.membership_version, self.runtime.alive_worker_names
-        )
-        if not stream.size:
-            return
-        wae = stream.weighted_wae()
-        self.trace.record("wae", self.env.now, wae)
-        if self.obs.bus.wants(WaeSample.kind):
-            self.obs.bus.emit(WaeSample(
-                time=self.env.now, wae=wae, nodes=stream.size,
-                spread=stream.component_spread(),
-            ))
-        self._apply_tuner(wae)
-        if self._acting:
-            self.trace.log(
-                self.env.now, "adaptation_skip",
-                reason="previous action still in flight",
-            )
-            return
-        decision = stream.decide(self._protected_nodes(), self.policy.config)
-        snap = (
-            self.snapshot()
-            if self.tuner is not None or self.obs.is_enabled
-            else None
-        )
-        if self.tuner is not None:
-            self.tuner.on_decision(self.env.now, decision, snap)
-        self._commit_decision(decision, snap)
+            if self.tuner is not None:
+                self.tuner.on_decision(self.env.now, decision, snap)
+            self._commit_decision(decision, snap)
 
     def _apply_tuner(self, wae: float) -> None:
         if self.tuner is None:
@@ -307,14 +249,11 @@ class AdaptationCoordinator:
             self.policy.config, coefficients=self.tuner.current
         )
 
-    def _commit_decision(
-        self, decision: Decision, snap: Optional[GridSnapshot]
-    ) -> None:
+    def _commit_decision(self, decision: Decision, snap: GridSnapshot) -> None:
         if self.config.adaptation_enabled and not isinstance(decision, NoAction):
             self.env.process(self._act_guarded(decision), name="coord:act")
         self.decisions.append((self.env.now, decision))
-        if snap is not None:
-            self.decision_snapshots.append(snap)
+        self.decision_snapshots.append(snap)
         described = decision.describe()
         self.obs.metrics.counter(
             "coordinator_decisions", decision=described["decision"]
@@ -446,8 +385,6 @@ class AdaptationCoordinator:
             if self.runtime.worker_alive(node):
                 self.runtime.remove_node(node)
             self.latest.pop(node, None)
-            if self.streaming is not None:
-                self.streaming.forget(node)
         self.pool.release(victims)
 
     def _learn_bandwidth_requirement(self, cluster: str) -> None:

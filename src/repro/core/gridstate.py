@@ -14,18 +14,17 @@ indexed by a stable node-slot registry:
 * :class:`GridState` owns one float64 array per monitoring quantity (raw
   period slots ``busy``/``idle``/``comm_intra``/``comm_inter``/``bench``,
   the period length, the reported speed, and the latest benchmark
-  result). Reports enter either one at a time (:meth:`GridState.ingest`,
-  the live coordinator path) or as whole arrays
-  (:meth:`GridState.ingest_arrays`, the large-grid substrate path).
+  result). Reports enter as whole arrays (:meth:`GridState.ingest_arrays`,
+  the large-grid substrate path).
 * :meth:`GridState.fold` computes one monitoring period's decision
   inputs — per-node overhead/ic fractions, WAE components, cluster
   aggregates — as a handful of vectorized ops. The result feeds
   :class:`~repro.core.streaming.StreamingDecisionState` directly.
 
-**The bit-identity contract.** :meth:`GridState.fold_scalar` is the
-retained per-node executable spec: plain Python loops applying the exact
-scalar arithmetic of the batch policy fold (PRs 4–6). ``fold`` must
-produce bit-identical floats, which constrains its vectorization:
+**The bit-identity contract.** ``fold`` must produce, bit for bit, the
+floats the coordinator's snapshot fold (``GridSnapshot`` + the policy)
+computes with plain scalar arithmetic, which constrains its
+vectorization:
 
 * elementwise ops (``clip``, divide, multiply) are IEEE-identical per
   element to their scalar counterparts — free to vectorize;
@@ -34,24 +33,21 @@ produce bit-identical floats, which constrains its vectorization:
   fold; ``np.add.accumulate`` does (it is defined as the running left
   fold), so cluster aggregates are ``np.add.accumulate(values)[-1]`` per
   cluster — C-speed, same bits;
-* the WAE is ``np.mean`` over the component array in both paths (the
+* the WAE is ``np.mean`` over the component array in both folds (the
   same call on the same array).
 
-The hypothesis suite drives randomized report/join/leave/evict sequences
-through both folds and asserts exact equality everywhere.
+The executable spec — a per-node scalar ``fold`` and a one-report
+``ingest`` — lives in ``tests/reference/gridstate.py``; the hypothesis
+suite drives randomized report/join/leave/evict sequences through both
+folds and asserts exact equality everywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
-
-from ..satin.accounting import ic_overhead_fraction, overhead_fraction
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..satin.accounting import NodeReport
 
 __all__ = ["SlotRegistry", "GridState", "GridFold"]
 
@@ -151,7 +147,7 @@ class GridFold:
 
     ``order`` is the snapshot membership order; all arrays are indexed by
     position in ``order``. Cluster aggregates are keyed by cluster name;
-    ``clusters`` preserves first-appearance order (the batch fold's
+    ``clusters`` preserves first-appearance order (the snapshot fold's
     cluster discovery order).
     """
 
@@ -274,29 +270,6 @@ class GridState:
         """Free ``name``'s slot (eviction/leave); epochs make reuse safe."""
         return self.registry.release(name)
 
-    def ingest(self, report: "NodeReport") -> int:
-        """Fold one report in (scalar path; the live coordinator feed)."""
-        if report.speed <= 0:
-            raise ValueError(f"node {report.worker!r}: speed must be > 0")
-        overhead = report.overhead
-        ic = report.ic_overhead
-        if not 0 <= overhead <= 1 or not 0 <= ic <= 1:
-            raise ValueError(
-                f"node {report.worker!r}: fractions must be in [0, 1]"
-            )
-        slot = self.ensure(report.worker, report.cluster)
-        self._speed[slot] = report.speed
-        self._overhead[slot] = overhead
-        self._ic[slot] = ic
-        self._busy[slot] = report.busy
-        self._idle[slot] = report.idle
-        self._comm_intra[slot] = report.comm_intra
-        self._comm_inter[slot] = report.comm_inter
-        self._bench[slot] = report.bench
-        self._period_seconds[slot] = report.period_seconds
-        self._report_period[slot] = report.period_index
-        return slot
-
     def ingest_arrays(
         self,
         slots: np.ndarray,
@@ -316,8 +289,8 @@ class GridState:
         Derived fractions use the same per-element op sequence as the
         scalar :func:`~repro.satin.accounting.overhead_fraction` /
         ``ic_overhead_fraction`` helpers (``np.clip`` ≡ ``min(max(..))``
-        elementwise), so a node ingested through this path carries
-        bit-identical state to one ingested through :meth:`ingest`.
+        elementwise), so a node's derived fractions are bit-identical to
+        its :class:`~repro.satin.accounting.NodeReport` properties.
         """
         if np.any(speed <= 0):
             raise ValueError("speeds must be > 0")
@@ -396,65 +369,6 @@ class GridState:
             comp=comp,
             fastest=fastest,
             members=members,
-            cl_speed=cl_speed,
-            cl_ic_sum=cl_ic_sum,
-            cl_count=cl_count,
-        )
-
-    def fold_scalar(self, order: Sequence[str]) -> GridFold:
-        """The per-node executable spec: same fold, plain Python loops.
-
-        Retained as the reference :meth:`fold` is property-tested against;
-        every float it produces must equal the vectorized result bit for
-        bit.
-        """
-        order = list(order)
-        if not order:
-            return _empty_fold()
-        slots = [self.registry.slot_of(n) for n in order]
-        speed_l = [float(self._speed[s]) for s in slots]
-        overhead_l = [float(self._overhead[s]) for s in slots]
-        ic_l = [float(self._ic[s]) for s in slots]
-        codes_l = [int(self._ccode[s]) for s in slots]
-        fastest = max(speed_l)
-        comp_l = [(s / fastest) * (1.0 - o) for s, o in zip(speed_l, overhead_l)]
-
-        clusters: list[str] = []
-        member_lists: dict[str, list[int]] = {}
-        cl_speed: dict[str, float] = {}
-        cl_ic_sum: dict[str, float] = {}
-        cl_count: dict[str, int] = {}
-        names = self._cluster_names
-        for i, code in enumerate(codes_l):
-            cluster = names[code]
-            bucket = member_lists.get(cluster)
-            if bucket is None:
-                clusters.append(cluster)
-                member_lists[cluster] = [i]
-            else:
-                bucket.append(i)
-        for cluster in clusters:
-            speed_sum = 0.0
-            ic_sum = 0.0
-            for i in member_lists[cluster]:
-                speed_sum += speed_l[i]
-                ic_sum += ic_l[i]
-            cl_speed[cluster] = speed_sum
-            cl_ic_sum[cluster] = ic_sum
-            cl_count[cluster] = len(member_lists[cluster])
-        return GridFold(
-            order=order,
-            clusters=clusters,
-            cluster_of=[names[c] for c in codes_l],
-            codes=np.asarray(codes_l, dtype=np.int64),
-            speed=np.asarray(speed_l, dtype=float),
-            overhead=np.asarray(overhead_l, dtype=float),
-            ic=np.asarray(ic_l, dtype=float),
-            comp=np.asarray(comp_l, dtype=float),
-            fastest=fastest,
-            members={
-                c: np.asarray(v, dtype=np.intp) for c, v in member_lists.items()
-            },
             cl_speed=cl_speed,
             cl_ic_sum=cl_ic_sum,
             cl_count=cl_count,

@@ -1,54 +1,38 @@
-"""Streaming decision path: incremental WAE + incremental top-k badness.
+"""The large-grid decision engine: the policy's decision on resident arrays.
 
-The batch coordinator rebuilds a :class:`~repro.core.policy.GridSnapshot`
-from every live worker's latest report each monitoring period and hands it
-to :class:`~repro.core.policy.AdaptationPolicy` — O(grid) python object
-construction per decision, fine for the paper's ~100-node grids, the
-decision-side bottleneck on the ROADMAP's 100k-node north star.
+The adaptation coordinator folds every live worker's latest report into a
+:class:`~repro.core.policy.GridSnapshot` once per monitoring period and
+hands it to :class:`~repro.core.policy.AdaptationPolicy` — one Python
+object per node, fine for the paper's ~40-node grids. The ``large_grid``
+substrate runs 10^4 nodes, so it keeps the reports in a
+:class:`~repro.core.gridstate.GridState` (flat SoA arrays) and decides
+with :class:`StreamingDecisionState` instead:
 
-:class:`StreamingDecisionState` keeps the snapshot's contents *resident*
-as flat SoA arrays and updates them as reports arrive, so a decision
-period touches O(changed nodes):
+* :meth:`StreamingDecisionState.sync` re-folds the alive set with one
+  :meth:`~repro.core.gridstate.GridState.fold` whenever the membership
+  version changed or a report was forgotten — per-node WAE components,
+  cluster speed/ic aggregates, all with the snapshot fold's exact IEEE-754
+  arithmetic, so the period's WAE is **bit-identical** to
+  ``GridSnapshot.wae()``;
+* per-node badness is one vectorized pass, and :class:`TopKBadness`
+  ranks it worst-first — the order :func:`~repro.core.badness.rank_nodes`
+  produces — only when an eviction actually needs the ranking.
 
-* per-node WAE components live in a float64 array; a changed report
-  updates its slot with the same IEEE-754 scalar operations the batch
-  fold applies elementwise, so the period's ``np.mean`` over the array is
-  **bit-identical** to the batch result;
-* per-cluster speed/ic aggregates are re-folded only for clusters with a
-  changed member, accumulating in member order — exactly the sequence of
-  additions the batch fold performs for that cluster — so cluster means
-  (the RemoveCluster trigger and the worst-cluster γ term) match
-  bit-for-bit;
-* per-node badness feeds :class:`TopKBadness`, a lazy-deletion heap
-  updated only for changed nodes; popping yields the worst-first order
-  :func:`~repro.core.badness.rank_nodes` would produce.
-
-Anything that invalidates the maintained arrays wholesale — a membership
-change (join/leave/crash/evict), a node's *first* report, a change of the
-fastest node's speed, or new badness coefficients (the feedback tuner) —
-triggers a full **re-fold**: an O(grid) rebuild performing the exact batch
-arithmetic. That is the "periodic batch re-fold" that pins the golden
-values; in steady state it never fires and the per-period cost is a
-handful of vector folds plus O(changed) python.
-
-The decision logic itself replicates ``AdaptationPolicy.decide`` term by
-term (same arithmetic on the same floats, same reason strings), and the
-equivalence suite asserts identical decision logs and byte-identical
-run summaries against the batch path, which remains available as the
-executable spec via ``CoordinatorConfig(mode="batch")``.
+The decision logic replicates ``AdaptationPolicy.decide`` term by term
+(same arithmetic on the same floats, same reason strings);
+``tests/core/test_streaming.py`` asserts identical decision logs against
+the policy on randomized grid histories.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ..satin.accounting import NodeReport
 from .badness import BadnessCoefficients, worst_cluster
-from .gridstate import GridState
+from .gridstate import GridFold, GridState
 from .policy import (
     AddNodes,
     Decision,
@@ -62,118 +46,70 @@ __all__ = ["StreamingDecisionState", "TopKBadness"]
 
 
 class TopKBadness:
-    """Worst-first node ranking as a lazy-deletion min-heap.
+    """Worst-first node ranking, replaced whole each period.
 
-    Entries are ``(-badness, name)`` so the heap pops in exactly the
-    order ``rank_nodes`` sorts: badness descending, name ascending.
-    Stale entries (superseded by :meth:`update` or dropped by
-    :meth:`discard`) are skipped on pop by checking against the current
-    value; the heap is compacted when stale entries dominate, keeping
-    memory bounded by O(live nodes).
+    :meth:`rebuild_deferred` takes the period's names and badness values;
+    the ranking — badness descending, name ascending, exactly the order
+    ``rank_nodes`` sorts — is computed only when :meth:`worst` first asks
+    for it, so a period that ends in NoAction/AddNodes pays nothing
+    beyond holding the arrays.
     """
 
-    __slots__ = ("_heap", "_badness", "_pending")
+    __slots__ = ("_names", "_badness", "_ranked")
 
     def __init__(self) -> None:
-        self._heap: list[tuple[float, str]] = []
-        self._badness: dict[str, float] = {}
-        self._pending: Optional[tuple[list[str], np.ndarray]] = None
+        self._names: list[str] = []
+        self._badness = np.empty(0, dtype=float)
+        self._ranked: Optional[list[str]] = []
 
     def __len__(self) -> int:
-        self._materialize()
-        return len(self._badness)
-
-    def update(self, name: str, badness: float) -> None:
-        """Set ``name``'s badness; the old entry becomes stale."""
-        self._materialize()
-        self._badness[name] = badness
-        heapq.heappush(self._heap, (-badness, name))
-        if len(self._heap) > 64 + 4 * len(self._badness):
-            self._compact()
-
-    def discard(self, name: str) -> None:
-        """Remove ``name`` from the ranking (lazy: its entry goes stale)."""
-        self._materialize()
-        self._badness.pop(name, None)
-
-    def rebuild(self, items: Iterable[tuple[str, float]]) -> None:
-        """Replace the whole ranking in one O(n) heapify."""
-        self._pending = None
-        self._badness = dict(items)
-        self._heap = [(-b, n) for n, b in self._badness.items()]
-        heapq.heapify(self._heap)
+        return len(self._names)
 
     def rebuild_deferred(self, names: list[str], badness: np.ndarray) -> None:
-        """Replace the whole ranking from parallel arrays, lazily.
+        """Replace the whole ranking from parallel arrays, lazily."""
+        self._names = names
+        self._badness = badness
+        self._ranked = None
 
-        The heap and dict are only materialized when the ranking is next
-        queried or updated — a decision period that ends in NoAction/
-        AddNodes (no eviction ranking needed) pays nothing beyond holding
-        the arrays. Materialization sorts by ``(-badness, name)`` with one
-        ``np.lexsort`` — a sorted list is a valid heap — instead of n
-        tuple-comparison sift-downs.
-        """
-        self._pending = (names, badness)
-        self._badness = {}
-        self._heap = []
-
-    def _materialize(self) -> None:
-        if self._pending is None:
-            return
-        names, badness = self._pending
-        self._pending = None
-        self._badness = dict(zip(names, badness.tolist()))
-        if names:
-            neg = -badness
-            # secondary key: name ascending (ASCII node names, so numpy's
-            # unicode ordering and Python's str ordering agree)
-            order = np.lexsort((np.asarray(names), neg))
-            self._heap = list(
-                zip(neg[order].tolist(), map(names.__getitem__, order.tolist()))
-            )
-
-    def _compact(self) -> None:
-        self._heap = [(-b, n) for n, b in self._badness.items()]
-        heapq.heapify(self._heap)
+    def _ranking(self) -> list[str]:
+        if self._ranked is None:
+            names = self._names
+            # one np.lexsort by (-badness, name); the secondary key is
+            # name ascending (ASCII node names, so numpy's unicode
+            # ordering and Python's str ordering agree)
+            order = np.lexsort((np.asarray(names), -self._badness))
+            self._ranked = list(map(names.__getitem__, order.tolist()))
+        return self._ranked
 
     def worst(self, count: int, skip: Sequence[str] = ()) -> list[str]:
         """The worst ``count`` names, skipping ``skip`` (protected nodes).
 
         Matches ``[n for n, _ in rank_nodes(...) if n not in skip][:count]``.
         """
-        self._materialize()
         skip_set = set(skip)
         out: list[str] = []
-        popped: list[tuple[float, str]] = []
-        emitted: set[str] = set()
-        heap = self._heap
-        while heap and len(out) < count:
-            entry = heapq.heappop(heap)
-            neg_badness, name = entry
-            if self._badness.get(name) != -neg_badness or name in emitted:
-                continue  # stale or duplicate entry
-            popped.append(entry)
-            emitted.add(name)
+        for name in self._ranking():
+            if len(out) >= count:
+                break
             if name not in skip_set:
                 out.append(name)
-        for entry in popped:
-            heapq.heappush(heap, entry)
         return out
 
 
 class StreamingDecisionState:
-    """Resident coordinator state updated per report, folded per period.
+    """Resident decision state over a :class:`GridState`, folded per period.
 
-    Usage (the coordinator's streaming ``_decide_loop`` body)::
+    Usage (the ``large_grid`` period loop)::
 
-        state.observe(report)                 # as each report arrives
+        grid.ingest_arrays(slots, ...)        # the period's reports
+        state.forget(name)                    # evictions
         state.sync(version, alive_names)      # once per decision period
         if state.size:
             wae = state.weighted_wae()
             decision = state.decide(protected, policy.config)
 
-    ``sync`` applies the changed reports; ``decide`` replicates
-    ``AdaptationPolicy.decide`` on the maintained arrays.
+    ``sync`` re-folds only when ``version`` moved or a report was
+    forgotten, so a caller that ingests new values bumps the version.
     """
 
     def __init__(self, grid: Optional[GridState] = None) -> None:
@@ -182,253 +118,91 @@ class StreamingDecisionState:
         #: may share one (the large-grid substrate ingests arrays into it
         #: directly and the state folds from the same slots).
         self.grid = grid if grid is not None else GridState()
-        #: snapshot order: alive workers with a report, in runtime order.
-        self._order: list[str] = []
-        self._index: dict[str, int] = {}
-        self._speed = np.empty(0, dtype=float)
-        self._overhead = np.empty(0, dtype=float)
-        self._ic = np.empty(0, dtype=float)
-        self._comp = np.empty(0, dtype=float)
-        #: cluster code per position (codes index ``grid``'s cluster table)
-        self._ccode = np.empty(0, dtype=np.int64)
-        self._fastest = 0.0
-        #: clusters in first-appearance (snapshot) order + member indices.
-        self._clusters: list[str] = []
-        self._members: dict[str, np.ndarray] = {}
-        self._cl_speed: dict[str, float] = {}
-        self._cl_ic_sum: dict[str, float] = {}
-        self._cl_count: dict[str, int] = {}
+        #: the current period's fold over the alive nodes with a report,
+        #: in alive order.
+        self._fold: GridFold = self.grid.fold([])
         self._topk = TopKBadness()
-        self._worst_cluster: Optional[str] = None
-        self._worst_code = -1
+        #: coefficients the ranking was scored with (None: re-score at
+        #: the next decide).
         self._coeffs: Optional[BadnessCoefficients] = None
-        self._dirty: set[str] = set()
-        #: arrays must be rebuilt (first report / forget); membership
-        #: changes are detected via the runtime's version counter.
+        #: a report was forgotten since the last fold.
         self._structure_dirty = True
         self._version: Optional[int] = None
-        #: telemetry: how often the O(n) re-fold ran vs O(changed) updates.
+        #: telemetry: how often the O(n) re-fold ran.
         self.refolds = 0
-        self.incremental_updates = 0
-
-    # ------------------------------------------------------------- ingestion
-    def observe(self, report: NodeReport) -> None:
-        """Fold one report in. O(1): the arrays update at the next sync."""
-        name = report.worker
-        self.grid.ingest(report)  # validates speed/fraction ranges
-        if name in self._index:
-            self._dirty.add(name)
-        else:
-            self._structure_dirty = True
-
-    def observe_batch(self, reports: Iterable[NodeReport]) -> None:
-        """Fold many reports in (one period's mailbox drain)."""
-        for report in reports:
-            self.observe(report)
 
     def forget(self, name: str) -> None:
-        """Drop a node's report (eviction): it leaves the fold immediately."""
+        """Drop a node's report (eviction): it leaves the fold at the next
+        :meth:`sync`, even if the membership version did not move."""
         if self.grid.release(name) is not None:
-            self._dirty.discard(name)
             self._structure_dirty = True
 
-    # ------------------------------------------------------------------ sync
     @property
     def size(self) -> int:
-        return len(self._order)
+        return len(self._fold.order)
 
     def sync(
         self, membership_version: int, alive_names: Callable[[], list[str]]
     ) -> None:
-        """Bring the arrays up to date for this decision period.
+        """Bring the fold up to date for this decision period.
 
-        Re-folds everything when membership or the reporting set changed;
-        otherwise applies only the changed slots.
+        One :meth:`GridState.fold` over the alive nodes that have a
+        report — a handful of vectorized ops producing the exact snapshot
+        fold arithmetic (elementwise ops are IEEE-identical to the scalar
+        spec; cluster sums use the sequential ``np.add.accumulate`` fold,
+        see :mod:`repro.core.gridstate`).
         """
-        if self._structure_dirty or self._version != membership_version:
-            known = self.grid.registry._slot_of
-            self._refold([n for n in alive_names() if n in known])
-            self._version = membership_version
-        elif self._dirty:
-            self._apply_dirty()
-
-    def _refold(self, order: list[str]) -> None:
-        """Full rebuild from the grid state's SoA arrays.
-
-        One :meth:`GridState.fold` — a handful of vectorized ops producing
-        the exact batch fold arithmetic (elementwise ops are IEEE-identical
-        to the scalar spec; cluster sums use the sequential
-        ``np.add.accumulate`` fold, see :mod:`repro.core.gridstate`).
-        """
-        self.refolds += 1
-        self._order = order
-        self._index = dict(zip(order, range(len(order))))
-        self._dirty.clear()
-        self._structure_dirty = False
-        if not order:
-            self._speed = np.empty(0, dtype=float)
-            self._overhead = np.empty(0, dtype=float)
-            self._ic = np.empty(0, dtype=float)
-            self._comp = np.empty(0, dtype=float)
-            self._ccode = np.empty(0, dtype=np.int64)
-            self._clusters = []
-            self._members = {}
-            self._cl_speed = {}
-            self._cl_ic_sum = {}
-            self._cl_count = {}
-            self._fastest = 0.0
-            self._topk.rebuild(())
-            self._worst_cluster = None
-            self._worst_code = -1
+        if not self._structure_dirty and self._version == membership_version:
             return
-        fold = self.grid.fold(order)
-        self._speed = fold.speed
-        self._overhead = fold.overhead
-        self._ic = fold.ic
-        self._comp = fold.comp
-        self._ccode = fold.codes
-        self._fastest = fold.fastest
-        self._clusters = fold.clusters
-        self._members = fold.members
-        self._cl_speed = fold.cl_speed
-        self._cl_ic_sum = fold.cl_ic_sum
-        self._cl_count = fold.cl_count
-        self._coeffs = None  # force a badness rebuild below
-        self._refresh_badness(force=True)
-
-    def _fold_cluster(self, cluster: str) -> None:
-        """Re-fold one cluster's aggregates in member order — the batch
-        fold's addition sequence restricted to this cluster, computed with
-        the sequential ``np.add.accumulate`` fold (same bits, C speed)."""
-        members = self._members[cluster]
-        speed = self._speed[members]
-        ic = self._ic[members]
-        self._cl_speed[cluster] = float(np.add.accumulate(speed)[-1])
-        self._cl_ic_sum[cluster] = float(np.add.accumulate(ic)[-1])
-        self._cl_count[cluster] = int(members.size)
-
-    def _apply_dirty(self) -> None:
-        """O(changed) path: update only the slots whose reports changed."""
-        dirty = [(self._index[n], n) for n in self._dirty]
-        self._dirty.clear()
-        self.incremental_updates += len(dirty)
-        speed = self._speed
-        overhead = self._overhead
-        ic = self._ic
-        grid = self.grid
-        grid_speed = grid.array("speed")
-        grid_overhead = grid.array("overhead")
-        grid_ic = grid.array("ic")
-        slot_of = grid.registry._slot_of
-        cluster_names = grid._cluster_names
-        ccode = self._ccode
-        dirty_clusters = set()
-        for i, name in dirty:
-            slot = slot_of[name]
-            speed[i] = grid_speed[slot]
-            overhead[i] = grid_overhead[slot]
-            ic[i] = grid_ic[slot]
-            dirty_clusters.add(cluster_names[ccode[i]])
-        new_fastest = float(speed.max())
-        renormalized = new_fastest != self._fastest
-        if renormalized:
-            # the normalisation base moved: every component shifts
-            self._fastest = new_fastest
-            self._comp = (speed / new_fastest) * (1.0 - overhead)
-        else:
-            comp = self._comp
-            for i, _ in dirty:
-                comp[i] = (speed[i] / new_fastest) * (1.0 - overhead[i])
-        for cluster in self._clusters:
-            if cluster in dirty_clusters:
-                self._fold_cluster(cluster)
-        # A moved normalisation base shifts every node's α badness term
-        # (1/(speed/fastest)), not just the dirty slots' — the ranking
-        # must be rebuilt wholesale or non-dirty entries go stale.
-        self._refresh_badness(force=renormalized, dirty=dirty)
+        known = self.grid.registry._slot_of
+        self._fold = self.grid.fold([n for n in alive_names() if n in known])
+        self._version = membership_version
+        self._structure_dirty = False
+        self._coeffs = None
+        self.refolds += 1
 
     # --------------------------------------------------------------- badness
     def _cluster_ic_means(self) -> dict[str, float]:
-        ic_sum = self._cl_ic_sum
-        count = self._cl_count
-        return {c: ic_sum[c] / count[c] for c in self._clusters}
+        fold = self._fold
+        ic_sum = fold.cl_ic_sum
+        count = fold.cl_count
+        return {c: ic_sum[c] / count[c] for c in fold.clusters}
 
-    def _node_badness(self, i: int, coeffs: BadnessCoefficients) -> float:
-        """badness_terms summed in key order — bit-identical to the batch
-        ``sum(badness_terms(...).values())``."""
-        total = coeffs.alpha * (1.0 / (self._speed[i] / self._fastest))
-        total = total + coeffs.beta * self._ic[i]
-        total = total + coeffs.gamma * (
-            1.0 if self._ccode[i] == self._worst_code else 0.0
-        )
-        return float(total)
+    def _score(self, coeffs: BadnessCoefficients) -> None:
+        """Re-score every node's badness and hand it to the ranking.
 
-    def _refresh_badness(
-        self,
-        force: bool = False,
-        dirty: Sequence[tuple[int, str]] = (),
-        coeffs: Optional[BadnessCoefficients] = None,
-    ) -> None:
-        """Keep the top-k structure consistent with the arrays.
-
-        A changed worst cluster or new coefficients shift *every* node's
-        badness — rebuild; otherwise only the dirty slots are re-scored.
+        Vectorized ``badness_terms``, summed in the scalar key order:
+        α/speed_norm, then +β·ic, then +γ·worst-cluster indicator — each
+        step elementwise IEEE-identical to ``sum(badness_terms(...))``.
         """
-        if coeffs is None:
-            coeffs = self._coeffs if self._coeffs is not None else BadnessCoefficients()
-        current_worst = (
-            worst_cluster({c: self._cl_speed[c] for c in self._clusters},
-                          self._cluster_ic_means(), coeffs)
-            if self._clusters
-            else None
-        )
-        if force or coeffs != self._coeffs or current_worst != self._worst_cluster:
-            self._worst_cluster = current_worst
-            self._worst_code = (
-                self.grid._code_of[current_worst]
-                if current_worst is not None
-                else -1
-            )
-            self._coeffs = coeffs
-            if not self._order:
-                self._topk.rebuild(())
-                return
-            # vectorized badness_terms, summed in the scalar key order:
-            # α/speed_norm, then +β·ic, then +γ·worst-cluster indicator —
-            # each step elementwise IEEE-identical to _node_badness.
-            badness = coeffs.alpha * (1.0 / (self._speed / self._fastest))
-            badness = badness + coeffs.beta * self._ic
-            badness = badness + coeffs.gamma * (
-                self._ccode == self._worst_code
-            ).astype(float)
-            self._topk.rebuild_deferred(self._order, badness)
-        else:
-            for i, name in dirty:
-                self._topk.update(name, self._node_badness(i, coeffs))
+        fold = self._fold
+        self._coeffs = coeffs
+        worst = worst_cluster(fold.cl_speed, self._cluster_ic_means(), coeffs)
+        worst_code = self.grid._code_of[worst]
+        badness = coeffs.alpha * (1.0 / (fold.speed / fold.fastest))
+        badness = badness + coeffs.beta * fold.ic
+        badness = badness + coeffs.gamma * (fold.codes == worst_code).astype(float)
+        self._topk.rebuild_deferred(fold.order, badness)
 
     # --------------------------------------------------------------- queries
     def weighted_wae(self) -> float:
-        """The period's WAE — ``np.mean`` over the maintained components,
+        """The period's WAE — ``np.mean`` over the folded components,
         bit-identical to ``GridSnapshot.wae()``."""
-        if not self._order:
+        if not self.size:
             raise ValueError("empty snapshot has no WAE")
-        return float(np.mean(self._comp))
+        return float(np.mean(self._fold.comp))
 
     def unweighted_efficiency(self) -> float:
-        if not self._order:
+        if not self.size:
             raise ValueError("empty snapshot has no efficiency")
-        return float(np.mean(1.0 - self._overhead))
-
-    def component_spread(self) -> float:
-        """max − min of the WAE components (the wae_sample spread field)."""
-        return float(self._comp.max() - self._comp.min())
+        return float(np.mean(1.0 - self._fold.overhead))
 
     def nodes_in_cluster(self, cluster: str) -> list[str]:
-        code = self.grid._code_of.get(cluster)
-        if code is None:
+        members = self._fold.members.get(cluster)
+        if members is None:
             return []
-        order = self._order
-        return sorted(order[i] for i in np.flatnonzero(self._ccode == code))
+        order = self._fold.order
+        return sorted(order[i] for i in members.tolist())
 
     # ---------------------------------------------------------------- decide
     def decide(self, protected: Sequence[str], config: PolicyConfig) -> Decision:
@@ -436,13 +210,13 @@ class StreamingDecisionState:
 
         Must run after :meth:`sync` for the period. The caller passes the
         *current* policy config so feedback-tuned coefficients take effect
-        exactly as they do on the batch path (new coefficients trigger a
-        ranking rebuild here).
+        exactly as they do in the policy (new coefficients re-score the
+        ranking here).
         """
-        if not self._order:
+        if not self.size:
             return NoAction(wae=0.0, reason="no statistics yet")
         if config.coefficients != self._coeffs:
-            self._refresh_badness(coeffs=config.coefficients)
+            self._score(config.coefficients)
         wae = (
             self.weighted_wae() if config.weighted else self.unweighted_efficiency()
         )
@@ -457,7 +231,7 @@ class StreamingDecisionState:
         return NoAction(wae=wae, reason="within [e_min, e_max] dead band")
 
     def _grow(self, wae: float, cfg: PolicyConfig) -> Decision:
-        n = len(self._order)
+        n = self.size
         count = max(1, math.ceil(n * (wae - cfg.e_max) / (1.0 - cfg.e_max)))
         if cfg.max_add_per_decision is not None:
             count = min(count, cfg.max_add_per_decision)
@@ -493,7 +267,7 @@ class StreamingDecisionState:
         nodes = [
             n for n in self.nodes_in_cluster(cluster) if n not in protected
         ]
-        remaining = len(self._order) - len(nodes)
+        remaining = self.size - len(nodes)
         if not nodes or remaining < cfg.min_nodes:
             return None
         return RemoveCluster(
@@ -509,11 +283,12 @@ class StreamingDecisionState:
     def _shrink(
         self, wae: float, protected: set[str], cfg: PolicyConfig
     ) -> Decision:
-        n = len(self._order)
+        n = self.size
         count = max(1, math.ceil(n * (cfg.e_min - wae) / cfg.e_min))
         if cfg.max_remove_per_decision is not None:
             count = min(count, cfg.max_remove_per_decision)
-        count = min(count, n - max(cfg.min_nodes, len(protected & self._index.keys())))
+        in_grid = len(protected.intersection(self._fold.order))
+        count = min(count, n - max(cfg.min_nodes, in_grid))
         if count <= 0:
             return NoAction(wae=wae, reason="at min_nodes")
         victims = self._topk.worst(count, skip=protected)

@@ -66,8 +66,8 @@ class RunResult:
     blacklisted_nodes: frozenset[str] = frozenset()
     blacklisted_clusters: frozenset[str] = frozenset()
     learned_min_bandwidth: Optional[float] = None
-    #: GridSnapshots index-aligned with ``decisions`` (profiling runs;
-    #: empty without a coordinator)
+    #: GridSnapshots index-aligned with ``decisions`` (empty without a
+    #: coordinator)
     decision_snapshots: list[Any] = field(default_factory=list)
 
     @property
@@ -124,8 +124,7 @@ def run_scenario(
     stack is wired: pass an enabled :class:`~repro.obs.Observability` via
     ``RunConfig(obs=...)`` to capture the run's full event stream and
     metrics (``repro trace`` / ``repro metrics`` do; by default telemetry
-    is disabled and costs nothing), ``RunConfig(coordinator="batch")``
-    for the batch decision path. Fields the scenario itself determines
+    is disabled and costs nothing). Fields the scenario itself determines
     (worker config, crash detection delay) default from ``spec`` and
     ``variant`` unless the config overrides them.
 
@@ -187,7 +186,6 @@ def run_scenario(
                 decision_slack=spec.monitoring_period * 0.15,
                 node_startup_delay=2.0,
                 adaptation_enabled=(variant == "adapt"),
-                mode=cfg.coordinator,
             ),
         )
         estimator = BandwidthEstimator(window_seconds=spec.monitoring_period * 2)

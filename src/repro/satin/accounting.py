@@ -124,11 +124,12 @@ class NodeReport:
 class TimeAccount:
     """Accumulates activity durations and rolls monitoring periods over.
 
-    Hot-path callers use the per-category adders (:meth:`add_busy`,
-    :meth:`add_idle`, :meth:`add_bench`, :meth:`add_comm`): no dict
-    lookup, no validation, two float adds. The validated generic
-    :meth:`add` remains the reference per-transition path; the property
-    tests assert both produce identical splits.
+    Callers charge activity through the per-category adders
+    (:meth:`add_busy`, :meth:`add_idle`, :meth:`add_bench`,
+    :meth:`add_comm`): no dict lookup, no validation, two float adds. The
+    validated generic per-transition adder lives in
+    ``tests/reference/accounting.py``; the property tests assert both
+    produce identical splits.
     """
 
     __slots__ = (
@@ -182,22 +183,6 @@ class TimeAccount:
         else:
             self.comm_inter += seconds
             self._life_comm_inter += seconds
-
-    # ----------------------------------------------------------- reference
-    def add(self, category: str, seconds: float) -> None:
-        """Attribute ``seconds`` of activity to ``category`` (validated).
-
-        An activity spanning a period rollover is attributed to the period
-        in which it *ends* — the small inaccuracy the paper accepts for
-        unsynchronised measurement.
-        """
-        if category not in CATEGORIES:
-            raise ValueError(f"unknown activity category {category!r}")
-        if seconds < 0:
-            raise ValueError(f"negative duration {seconds!r}")
-        setattr(self, category, getattr(self, category) + seconds)
-        life = "_life_" + category
-        setattr(self, life, getattr(self, life) + seconds)
 
     def total(self, category: str) -> float:
         """Current-period accumulated seconds for ``category``."""

@@ -284,15 +284,6 @@ class SatinRuntime:
     def alive_worker_names(self) -> list[str]:
         return list(self._alive)
 
-    @property
-    def membership_version(self) -> int:
-        """Bumped on every change to the alive set (join/leave/crash).
-
-        Lets membership-derived caches — the stealing peer memo, the
-        streaming coordinator's resident arrays — detect staleness with an
-        integer compare instead of re-listing the grid."""
-        return self._membership_version
-
     def worker(self, name: str) -> Worker:
         return self._workers[name]
 

@@ -205,13 +205,14 @@ def test_barneshut_runs_on_simulated_grid():
 # ------------------------------------------- vectorized build ≡ reference
 def _reference_octree(positions, masses, bucket_size=16, max_depth=20):
     """Build a tree with the naive recursive fill (the specification)."""
-    from repro.apps.barneshut import OctreeNode, _fill_reference
+    from repro.apps.barneshut import OctreeNode
+    from tests.reference.barneshut import fill
 
     lo, hi = positions.min(axis=0), positions.max(axis=0)
     center = (lo + hi) / 2.0
     half = float(np.max(hi - lo) / 2.0) * 1.0001 + 1e-12
     root = OctreeNode(center, half)
-    _fill_reference(
+    fill(
         root, positions, masses, np.arange(len(positions)), bucket_size, max_depth
     )
     return root

@@ -241,3 +241,7 @@ def test_config_validation():
         CoordinatorConfig(decision_slack=-1.0)
     with pytest.raises(ValueError):
         CoordinatorConfig(probe_benchmark_work=-1.0)
+    # a negative leave signal used to construct fine and kill the run at
+    # its first eviction ("cannot transfer negative bytes")
+    with pytest.raises(ValueError, match="leave_signal_bytes"):
+        CoordinatorConfig(leave_signal_bytes=-1.0)

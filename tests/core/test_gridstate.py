@@ -1,10 +1,10 @@
 """GridState: SoA storage, slot registry, and fold bit-identity.
 
 The load-bearing property: the vectorized :meth:`GridState.fold` must be
-**bit-identical** to the retained pure-Python :meth:`GridState.fold_scalar`
-spec — same IEEE-754 results for every per-node derivation and every
-cluster aggregate, over arbitrary interleavings of reports, joins,
-leaves and evictions. Hypothesis drives that interleaving.
+**bit-identical** to the pure-Python scalar spec in
+``tests/reference/gridstate.py`` — same IEEE-754 results for every
+per-node derivation and every cluster aggregate, over arbitrary
+interleavings of reports, joins, leaves and evictions. Hypothesis drives that interleaving.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.gridstate import GridState, SlotRegistry
 from repro.satin.accounting import NodeReport
+from tests.reference import gridstate as reference
 
 CLUSTERS = ("alpha", "beta", "gamma")
 NODES = tuple(f"{c}/n{i}" for c in CLUSTERS for i in range(4))
@@ -87,7 +88,8 @@ def test_ingest_arrays_matches_scalar_ingest_bitwise():
     for i, name in enumerate(names):
         # raw seconds, not fractions: the scalar and vector paths must
         # see bit-identical inputs for the outputs to be comparable
-        scalar.ingest(
+        reference.ingest(
+            scalar,
             NodeReport(
                 worker=name,
                 cluster="alpha",
@@ -121,7 +123,7 @@ def test_ingest_arrays_matches_scalar_ingest_bitwise():
 def test_ingest_validation():
     g = GridState()
     with pytest.raises(ValueError, match="speed"):
-        g.ingest(make_report("alpha/n0", 0, 0.0, 0.5, 0.0))
+        reference.ingest(g, make_report("alpha/n0", 0, 0.0, 0.5, 0.0))
     slot = np.array([g.ensure("alpha/n0", "alpha")])
     with pytest.raises(ValueError, match="speed"):
         g.ingest_arrays(
@@ -228,7 +230,7 @@ def test_fold_bit_identical_to_scalar_spec(steps):
         if op == "report":
             # a report from an unknown node is a join
             busy_frac = min(busy_frac, 1.0 - ic_frac)
-            g.ingest(make_report(name, 0, speed, busy_frac, ic_frac))
+            reference.ingest(g, make_report(name, 0, speed, busy_frac, ic_frac))
             if name not in reported:
                 reported[name] = counter
                 counter += 1
@@ -237,10 +239,10 @@ def test_fold_bit_identical_to_scalar_spec(steps):
             reported.pop(name, None)
     order = sorted(reported, key=reported.get)
     if not order:
-        assert g.fold(order).order == g.fold_scalar(order).order == []
+        assert g.fold(order).order == reference.fold(g, order).order == []
         return
     vec = g.fold(order)
-    ref = g.fold_scalar(order)
+    ref = reference.fold(g, order)
     assert vec.order == ref.order
     assert vec.clusters == ref.clusters
     assert vec.cluster_of == ref.cluster_of
@@ -265,14 +267,14 @@ def test_fold_bit_identical_to_scalar_spec(steps):
 def test_fold_after_slot_reuse_is_clean():
     """A recycled slot must carry no stale state into the fold."""
     g = GridState()
-    g.ingest(make_report("alpha/n0", 0, 2.0, 0.5, 0.1))
-    g.ingest(make_report("beta/n0", 0, 1.0, 0.2, 0.0))
+    reference.ingest(g, make_report("alpha/n0", 0, 2.0, 0.5, 0.1))
+    reference.ingest(g, make_report("beta/n0", 0, 1.0, 0.2, 0.0))
     old_slot = g.registry.slot_of("alpha/n0")
     g.release("alpha/n0")
-    g.ingest(make_report("gamma/n0", 1, 4.0, 0.25, 0.05))
+    reference.ingest(g, make_report("gamma/n0", 1, 4.0, 0.25, 0.05))
     assert g.registry.slot_of("gamma/n0") == old_slot  # recycled
     order = ["beta/n0", "gamma/n0"]
-    vec, ref = g.fold(order), g.fold_scalar(order)
+    vec, ref = g.fold(order), reference.fold(g, order)
     np.testing.assert_array_equal(vec.speed, ref.speed)
     assert vec.clusters == ["beta", "gamma"]
     assert vec.cl_count == {"beta": 1, "gamma": 1}
@@ -287,7 +289,7 @@ def test_cluster_sums_use_sequential_fold():
     names = [f"alpha/n{i}" for i in range(1000)]
     speeds = rng.uniform(0.1, 5.0, len(names))
     for name, speed in zip(names, speeds):
-        g.ingest(make_report(name, 0, float(speed), 0.5, 0.1))
+        reference.ingest(g, make_report(name, 0, float(speed), 0.5, 0.1))
     fold = g.fold(names)
     acc = 0.0
     for i in range(len(names)):

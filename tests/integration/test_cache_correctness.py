@@ -3,8 +3,8 @@
 The serving layer's contract is stronger than "the cache returns what
 was stored": a cached summary must be indistinguishable from running
 the simulation again — same floats, same decision times, same reason
-strings. For each miniature scenario family (the s1–s6 analogues shared
-with the streaming-equivalence suite) this runs:
+strings. For each miniature scenario family (the s1–s6 analogues in
+``mini_scenarios.py``) this runs:
 
 1. **cold**  — through a caching service (disk-backed), computing;
 2. **warm**  — the same job again, served from the cache;
@@ -23,9 +23,9 @@ import pytest
 from repro.config import RunConfig
 from repro.serving import ResultCache, SimulationService, SweepJob
 from tests.experiments.test_largegrid import SMALL
-from tests.integration.test_streaming_equivalence import CASES
+from tests.integration.mini_scenarios import CASES
 
-SCENARIO_CASES = sorted(k for k in CASES if k.startswith("s"))
+SCENARIO_CASES = sorted(CASES)
 
 
 def _bytes(summary) -> str:

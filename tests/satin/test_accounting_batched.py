@@ -5,8 +5,8 @@ The worker hot paths charge activity through the unvalidated fast adders
 assembled once per monitoring period at ``rollover``. These properties pin
 the batched bookkeeping to two references:
 
-* the validated generic ``TimeAccount.add`` (the per-transition reference
-  path that predates the flat accumulators), and
+* the validated generic adder in ``tests/reference/accounting.py`` (the
+  per-transition reference path that predates the flat accumulators), and
 * a naive fold-left dict accumulator.
 
 Because all three fold the same additions in the same order, the splits
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.satin.accounting import CATEGORIES, TimeAccount
+from tests.reference.accounting import add
 
 TOL = 1e-9
 
@@ -51,7 +52,7 @@ def test_fast_adders_match_validated_add_and_naive_fold(sequence):
     naive = {c: 0.0 for c in CATEGORIES}
     for category, seconds in sequence:
         _fast_add(fast, category, seconds)
-        ref.add(category, seconds)
+        add(ref, category, seconds)
         naive[category] += seconds
     for c in CATEGORIES:
         assert fast.total(c) == ref.total(c)  # identical fold -> bit-exact
@@ -88,9 +89,9 @@ def test_rollovers_conserve_lifetime_splits(sequence, rollover_points):
 def test_generic_add_still_validates():
     account = TimeAccount(0.0)
     with pytest.raises(ValueError):
-        account.add("lunch", 1.0)
+        add(account, "lunch", 1.0)
     with pytest.raises(ValueError):
-        account.add("busy", -0.5)
+        add(account, "busy", -0.5)
     with pytest.raises(KeyError):
         account.total("lunch")
     with pytest.raises(KeyError):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.satin.accounting import CATEGORIES, NodeReport, TimeAccount
 from repro.satin.benchmarking import BenchmarkConfig, SpeedBenchmark
+from tests.reference.accounting import add
 
 
 def make_report(**kw):
@@ -63,9 +64,9 @@ def test_accounted_sum():
 # -------------------------------------------------------------- TimeAccount
 def test_account_accumulates_and_rolls_over():
     acc = TimeAccount(start_time=0.0)
-    acc.add("busy", 10.0)
-    acc.add("idle", 5.0)
-    acc.add("comm_inter", 1.0)
+    add(acc, "busy", 10.0)
+    add(acc, "idle", 5.0)
+    add(acc, "comm_inter", 1.0)
     report = acc.rollover(now=20.0, worker="w", cluster="c", speed=2.0)
     assert report.busy == 10.0
     assert report.idle == 5.0
@@ -81,9 +82,9 @@ def test_account_accumulates_and_rolls_over():
 
 def test_account_lifetime_survives_rollover():
     acc = TimeAccount(start_time=0.0)
-    acc.add("busy", 10.0)
+    add(acc, "busy", 10.0)
     acc.rollover(10.0, "w", "c", 1.0)
-    acc.add("busy", 7.0)
+    add(acc, "busy", 7.0)
     assert acc.lifetime("busy") == 17.0
     assert acc.total("busy") == 7.0
 
@@ -91,9 +92,9 @@ def test_account_lifetime_survives_rollover():
 def test_account_validation():
     acc = TimeAccount(start_time=0.0)
     with pytest.raises(ValueError):
-        acc.add("nonsense", 1.0)
+        add(acc, "nonsense", 1.0)
     with pytest.raises(ValueError):
-        acc.add("busy", -1.0)
+        add(acc, "busy", -1.0)
 
 
 def test_categories_complete():

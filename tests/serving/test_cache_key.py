@@ -50,7 +50,6 @@ def _mutations() -> dict:
     from repro.simgrid.trace import Trace
 
     return {
-        "coordinator": "batch",
         "profile": True,
         "jobs": 3,
         "shards": 4,
@@ -254,7 +253,7 @@ from repro.config import RunConfig
 from repro.experiments import SCENARIOS, LargeGridSpec
 from repro.satin.worker import WorkerConfig
 from repro.serving import cache_key
-tuned = RunConfig(coordinator="batch", worker=WorkerConfig(monitoring_period=33.0))
+tuned = RunConfig(detection_delay=2.5, worker=WorkerConfig(monitoring_period=33.0))
 print(cache_key(SCENARIOS["s1"], "adapt", 0, RunConfig()))
 print(cache_key(LargeGridSpec(), "adapt", 0, RunConfig()))
 print(cache_key(SCENARIOS["s1"], "adapt", 0, tuned))
@@ -286,7 +285,7 @@ def test_key_is_stable_across_processes():
     """
     from repro.satin.worker import WorkerConfig
 
-    tuned = RunConfig(coordinator="batch", worker=WorkerConfig(monitoring_period=33.0))
+    tuned = RunConfig(detection_delay=2.5, worker=WorkerConfig(monitoring_period=33.0))
     runs = [
         (SCENARIOS["s1"], RunConfig()),
         (LargeGridSpec(), RunConfig()),

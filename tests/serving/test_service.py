@@ -66,11 +66,11 @@ def test_memory_hit_never_reprs_the_spec(monkeypatch):
 def test_different_config_is_a_different_entry():
     cache = ResultCache()
     svc = _service(cache=cache)
-    a = SweepJob(SPEC, "none", 0, config=RunConfig(coordinator="streaming"))
-    b = SweepJob(SPEC, "none", 0, config=RunConfig(coordinator="batch"))
+    a = SweepJob(SPEC, "none", 0, config=RunConfig(detection_delay=1.0))
+    b = SweepJob(SPEC, "none", 0, config=RunConfig(detection_delay=2.0))
     svc.sweep([a])
     [res] = svc.sweep([b])
-    assert not res.cache_hit  # decision paths agree on bytes, not on keys
+    assert not res.cache_hit  # a config field moves the key
 
 
 def test_disk_layer_survives_a_new_service(tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from repro import cli
 from repro.apps.dctree import SyntheticIterativeApp, balanced_tree
 from repro.config import RunConfig
+from repro.core.coordinator import CoordinatorConfig
 from repro.experiments import SCENARIOS, run_scenario
 from repro.experiments.scenarios import ScenarioSpec, scaled_das2
 from repro.harness import Harness
@@ -102,18 +103,21 @@ def test_no_command_rejected():
         (["run", "s1", "--scheduler", "calendar"], "'calendar'"),
         (["bench"], "'bench'"),
         (["run", "s1", "--scheduler", "heap"], "'heap'"),
+        (["run", "s1", "--coordinator", "batch"], "'batch'"),
     ],
 )
 def test_retired_choices_are_usage_errors(argv, bad, capsys):
     # Retired surfaces are argparse usage errors (exit status 2): the
-    # in-package timing harness verb is an invalid choice, and the
-    # --scheduler flag is gone along with every event queue it named.
+    # in-package timing harness verb is an invalid choice, the
+    # --scheduler flag is gone along with every event queue it named, and
+    # --coordinator along with the second decision path.
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    if "--scheduler" in argv:
-        assert f"unrecognized arguments: --scheduler {bad.strip(chr(39))}" in err
+    flag = next((a for a in argv if a.startswith("--")), None)
+    if flag is not None:
+        assert f"unrecognized arguments: {flag} {bad.strip(chr(39))}" in err
     else:
         assert f"invalid choice: {bad}" in err
 
@@ -130,6 +134,15 @@ def test_retired_scheduler_keyword_is_a_type_error():
         Harness.build(spec.grid, scheduler="heap")
     with pytest.raises(TypeError):
         run_scenario(spec, "none", scheduler="heap")
+
+
+def test_retired_decision_path_keywords_are_type_errors():
+    # One decision path, no selector: the coordinator always folds the
+    # snapshot, so neither config accepts a path name.
+    with pytest.raises(TypeError, match="coordinator"):
+        RunConfig(coordinator="streaming")
+    with pytest.raises(TypeError, match="mode"):
+        CoordinatorConfig(mode="batch")
 
 
 # ----------------------------------------------------------------- profile

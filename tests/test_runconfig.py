@@ -10,7 +10,7 @@ import warnings
 
 import pytest
 
-from repro.config import COORDINATOR_MODES, RunConfig
+from repro.config import RunConfig
 from repro.experiments import run_scenario
 from repro.experiments.scenarios import scaled_das2, ScenarioSpec
 from repro.apps.dctree import SyntheticIterativeApp, balanced_tree
@@ -22,16 +22,13 @@ from repro.satin.worker import WorkerConfig
 
 # -- validation -------------------------------------------------------------
 def test_defaults_are_streaming():
+    # The default run folds the snapshot on the one decision path; no
+    # field selects a second one.
     cfg = RunConfig()
-    assert cfg.coordinator == "streaming"
+    assert not hasattr(cfg, "coordinator")
     assert cfg.profile is False
     assert cfg.jobs == 1
     assert cfg.sinks == ()
-
-
-@pytest.mark.parametrize("coordinator", COORDINATOR_MODES)
-def test_valid_coordinator_modes(coordinator):
-    assert RunConfig(coordinator=coordinator).coordinator == coordinator
 
 
 def test_bad_scheduler_rejected():
@@ -43,8 +40,11 @@ def test_bad_scheduler_rejected():
 
 
 def test_bad_coordinator_rejected():
-    with pytest.raises(ValueError, match="coordinator"):
-        RunConfig(coordinator="incremental")
+    # One decision path and no selector: every path name, including the
+    # two that used to be valid, is an unknown keyword.
+    for bad in ("streaming", "batch", "incremental"):
+        with pytest.raises(TypeError, match="coordinator"):
+            RunConfig(coordinator=bad)
 
 
 def test_negative_detection_delay_rejected():
@@ -65,10 +65,10 @@ def test_sinks_normalized_to_tuple():
 
 def test_merged_applies_only_non_none():
     base = RunConfig(profile=True, jobs=4)
-    out = base.merged(profile=None, coordinator="batch")
+    out = base.merged(profile=None, detection_delay=5.0)
     assert out.profile is True
     assert out.jobs == 4
-    assert out.coordinator == "batch"
+    assert out.detection_delay == 5.0
 
 
 # -- Harness.build shims ----------------------------------------------------
@@ -160,6 +160,6 @@ def test_run_scenario_config_threads_through():
         warnings.simplefilter("error")
         r = run_scenario(
             _tiny_spec(), "adapt", seed=0,
-            config=RunConfig(coordinator="batch"),
+            config=RunConfig(detection_delay=5.0),
         )
     assert r.completed
